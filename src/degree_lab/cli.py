@@ -2,8 +2,20 @@
 
     degree-lab <subcommand> [flags]
 
-Subcommands: nu, bins, forest, gnm, cs, complex, pipeline, census,
-decompose.  Every experiment accepts --format json|csv, --out PATH and
+Subcommands and their required flags, one per experiment kind in
+experiments.KIND_SPECS plus decompose:
+
+    nu         --n
+    bins       --n --k
+    forest     --n --t
+    gnm        --n --m
+    cs         --n --m
+    complex    --core FILE --q
+    pipeline   --core FILE --l --r --n --m
+    census     --n --m
+    decompose  FILE
+
+Every subcommand accepts --format json|csv, --out PATH and
 --threshold F; reports go to stdout unless --out is given.  Exit code
 0 means the verdict was "pass" (or the subcommand has no verdict),
 1 means "fail", 2 means a usage or runtime error.
@@ -16,7 +28,8 @@ import sys
 from pathlib import Path
 
 from .edgelist import read_edge_list
-from .experiments import ExperimentConfig, emit_report, run_experiment
+from .experiments import (KIND_SPECS, ExperimentConfig, emit_report,
+                          run_experiment)
 from .graphs import GraphError, LabeledGraph, split
 from .samplers import SamplingCapExceeded
 
@@ -36,79 +49,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pass threshold (hit fraction, or max TV "
                              "distance for census)")
 
-    trials = argparse.ArgumentParser(add_help=False)
-    trials.add_argument("--trials", type=int, default=100,
-                        help="number of trials (default 100)")
-    trials.add_argument("--seed", type=int, default=0,
-                        help="master seed (default 0)")
-
-    eps = argparse.ArgumentParser(add_help=False)
-    eps.add_argument("--eps", type=float, default=0.25,
-                     help="interval half-width (default 0.25)")
-
-    p = sub.add_parser("nu", parents=[common, eps],
-                       help="typical maximum load and its window")
-    p.add_argument("--n", type=float, required=True)
-    p.add_argument("--k", type=float, default=None,
-                   help="ball count (defaults to n)")
-
-    p = sub.add_parser("bins", parents=[common, trials, eps],
-                       help="maximum load of k balls in n bins")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("forest", parents=[common, trials, eps],
-                       help="maximum degree of a uniform rooted forest")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-
-    p = sub.add_parser("gnm", parents=[common, trials, eps],
-                       help="maximum degree of a uniform graph with m edges")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser("cs", parents=[common, trials, eps],
-                       help="maximum degree of a uniform complex-free graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser("complex", parents=[common, trials, eps],
-                       help="maximum degree of a complex graph with a "
-                            "prescribed core")
-    p.add_argument("--core", metavar="FILE", required=True,
-                   help="edge-list file holding the core")
-    p.add_argument("--q", type=int, required=True,
-                   help="order of the sampled graph")
-
-    p = sub.add_parser("pipeline", parents=[common, trials],
-                       help="assembled three-part graph experiment")
-    p.add_argument("--core", metavar="FILE", required=True)
-    p.add_argument("--l", type=int, required=True,
-                   help="order of the large complex part")
-    p.add_argument("--r", type=int, required=True,
-                   help="order of the small complex part")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--shuffle-labels", action="store_true",
-                   help="apply a uniform label permutation to each draw")
-
-    p = sub.add_parser("census", parents=[common, trials],
-                       help="uniformity check of the gnm sampler")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    for kind, spec in KIND_SPECS.items():
+        p = sub.add_parser(kind, parents=[common], help=spec.help)
+        for flag in spec.flags:
+            # an absent flag leaves the ExperimentConfig default in place
+            kwargs = ({"action": "store_true"} if flag.type is bool else
+                      {"type": flag.type, "metavar": flag.metavar})
+            p.add_argument(flag.name, required=flag.required,
+                           default=argparse.SUPPRESS, help=flag.help,
+                           **kwargs)
 
     p = sub.add_parser("decompose", parents=[common],
                        help="three-way decomposition of an edge-list file")
     p.add_argument("file", help="edge-list file (simple graph header)")
 
     return parser
-
-
-def _load_core(path: str) -> LabeledGraph:
-    core = read_edge_list(path)
-    if not isinstance(core, LabeledGraph):
-        raise GraphError(f"{path}: core file must use the simple-graph header")
-    return core
 
 
 def _decompose_payload(path: str) -> bytes:
@@ -131,38 +86,16 @@ def _decompose_payload(path: str) -> bytes:
         },
         "coreLargestComponent": [int(v) for v in parts.core_largest_component],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode()
+    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    kind = args.command
-    cfg = ExperimentConfig(kind=kind, threshold=args.threshold)
-    if kind == "nu":
-        n = args.n
-        cfg.n = int(n) if float(n).is_integer() else n
-        cfg.k = args.k
-        cfg.epsilon = args.eps
-        return cfg
-    cfg.trials = args.trials
-    cfg.master_seed = args.seed
-    if kind == "bins":
-        cfg.n, cfg.k, cfg.epsilon = args.n, args.k, args.eps
-    elif kind == "forest":
-        cfg.n, cfg.t, cfg.epsilon = args.n, args.t, args.eps
-    elif kind in ("gnm", "cs"):
-        cfg.n, cfg.m, cfg.epsilon = args.n, args.m, args.eps
-    elif kind == "complex":
-        cfg.core = _load_core(args.core)
-        cfg.q = args.q
-        cfg.epsilon = args.eps
-    elif kind == "pipeline":
-        cfg.core = _load_core(args.core)
-        cfg.large_order = args.l
-        cfg.small_order = args.r
-        cfg.n, cfg.m = args.n, args.m
-        cfg.shuffle_labels = args.shuffle_labels
-    elif kind == "census":
-        cfg.n, cfg.m = args.n, args.m
+    cfg = ExperimentConfig(kind=args.command, threshold=args.threshold)
+    for flag in KIND_SPECS[args.command].flags:
+        if hasattr(args, flag.dest):
+            value = getattr(args, flag.dest)
+            setattr(cfg, flag.field,
+                    value if flag.load is None else flag.load(value))
     return cfg
 
 

@@ -7,16 +7,8 @@ reduces everything to a ConcentrationReport.  Reports serialize to JSON
 or CSV; reruns with the same master seed are byte-identical apart from
 the wall-clock entry, which can be excluded.
 
-Kinds and their statistic:
-
-  nu        no trials; evaluates the typical load and its window
-  bins      maximum load of k balls in n bins
-  forest    maximum degree of a uniform rooted forest
-  gnm       maximum degree of a uniform simple graph with m edges
-  cs        maximum degree of a uniform complex-free graph
-  complex   maximum degree of a uniform complex graph with given core
-  pipeline  maximum degree of an assembled three-part graph
-  census    no statistic; uniformity check of the gnm sampler
+KIND_SPECS holds every kind: its command-line flags, its window and its
+trial.  run_experiment and the degree-lab command read nothing else.
 """
 from __future__ import annotations
 
@@ -25,21 +17,22 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .bins import max_load, throw_balls
 from .concentration import (classify_regime, predicted_interval,
                             two_point_prediction, typical_max_load)
+from .edgelist import read_edge_list
 from .forests import sample_forest_degrees
-from .graphs import LabeledGraph, core_of, split
+from .graphs import GraphError, LabeledGraph, core_of, split
 from .samplers import (PipelineSpec, SamplingCapExceeded, exact_census_gnm,
                        sample_complex, sample_cs_counted, sample_gnm_counted,
                        sample_pipeline)
 from .seeding import trial_seed
-
-KINDS = ("nu", "bins", "forest", "gnm", "cs", "complex", "pipeline", "census")
 
 DEFAULT_TRIALS = 100
 DEFAULT_EPSILON = 0.25
@@ -69,9 +62,7 @@ class ExperimentConfig:
     def resolved_threshold(self) -> float:
         if self.threshold is not None:
             return float(self.threshold)
-        if self.kind == "census":
-            return DEFAULT_CENSUS_THRESHOLD
-        return DEFAULT_THRESHOLD
+        return KIND_SPECS[self.kind].threshold
 
 
 @dataclass
@@ -96,218 +87,313 @@ class ConcentrationReport:
         return self.verdict == "pass"
 
 
-def _forest_interval(order: float, eps: float) -> tuple[int, int]:
-    """Degree window of a sparse forest: the load window shifted up by 1."""
-    load = typical_max_load(order)
-    return (math.floor(load - eps) + 1, math.floor(load + eps) + 1)
+@dataclass(frozen=True)
+class Flag:
+    """A command-line flag and the ExperimentConfig field it fills.
+
+    `type` parses the flag (bool makes it a switch); `load` turns the
+    parsed value into the field value.  A numeric field must be finite
+    and at least `low`; a required one must be set.
+    """
+
+    name: str
+    field: str
+    type: Callable = int
+    help: str | None = None
+    required: bool = True
+    low: int | None = None
+    load: Callable | None = None
+    metavar: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
 
 
-def _require(cfg: ExperimentConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise ValueError(f"kind={cfg.kind!r} needs {name}")
+class Window(NamedTuple):
+    """What a kind predicts before its trials run."""
+
+    params: dict  # the kind's own report params, ahead of the shared ones
+    interval: tuple[int, int]
+    anchor: int
+    extras: dict = {}  # report extras known before the trials
 
 
-def _core_degree_padding(core: LabeledGraph, q: int) -> np.ndarray:
-    pad = np.zeros(q, dtype=np.int64)
-    pad[:core.n] = core.degree_sequence()
-    return pad
+@dataclass(frozen=True)
+class KindSpec:
+    """One experiment kind.
+
+    A sampling kind gives `window` and `trial`; trial(cfg, seed) returns
+    the statistic, the named checks it passed or failed, and the number
+    of draws it made (1 unless it rejects).  counts_attempts reports
+    completed trials over draws as acceptanceFraction.  A kind without
+    trials gives `report`, which builds the whole report.  Samplers are
+    called through this module's globals at call time, never stored.
+    """
+
+    help: str
+    flags: tuple[Flag, ...]
+    window: Callable[[ExperimentConfig], Window] | None = None
+    trial: Callable[[ExperimentConfig, int], tuple] | None = None
+    report: Callable[[ExperimentConfig, float],
+                     ConcentrationReport] | None = None
+    threshold: float = DEFAULT_THRESHOLD
+    counts_attempts: bool = False
 
 
-def run_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
-    if cfg.kind not in KINDS:
-        raise ValueError(f"unknown experiment kind {cfg.kind!r}")
-    start = time.perf_counter()
-    threshold = cfg.resolved_threshold()
+def _int_if_whole(x: float) -> float | int:
+    return int(x) if float(x).is_integer() else x
 
-    if cfg.kind == "nu":
-        _require(cfg, "n")
-        k = cfg.k if cfg.k is not None else cfg.n
-        load = typical_max_load(cfg.n, k)
-        interval = predicted_interval(cfg.n, k, cfg.epsilon)
-        report = ConcentrationReport(
-            kind="nu",
-            params={"n": cfg.n, "k": k, "eps": cfg.epsilon},
-            interval=interval,
-            anchor=math.floor(load - 1.0 / 3.0),
-            histogram={},
-            hit_fraction=None,
-            verdict="pass",
-            master_seed=cfg.master_seed,
-            trial_seeds=[],
-            elapsed_ms=0.0,
-            extras={"typicalLoad": load},
-        )
-        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return report
 
-    if cfg.trials < 1:
-        raise ValueError("trials must be at least 1")
+def _read_core(path: str) -> LabeledGraph:
+    core = read_edge_list(path)
+    if not isinstance(core, LabeledGraph):
+        raise GraphError(f"{path}: core file must use the simple-graph header")
+    return core
 
-    if cfg.kind == "census":
-        _require(cfg, "n", "m")
-        seed = trial_seed(cfg.master_seed, 0)
-        result = exact_census_gnm(cfg.n, cfg.m, cfg.trials, seed)
-        verdict = ("pass" if result.tv_distance <= threshold
-                   and not result.insufficient_samples else "fail")
-        report = ConcentrationReport(
-            kind="census",
-            params={"n": cfg.n, "m": cfg.m, "trials": cfg.trials,
-                    "threshold": threshold},
-            interval=None,
-            anchor=None,
-            histogram={i: c for i, c in enumerate(result.counts) if c},
-            hit_fraction=None,
-            verdict=verdict,
-            master_seed=cfg.master_seed,
-            trial_seeds=[seed],
-            elapsed_ms=0.0,
-            extras={
-                "graphCount": result.graph_count,
+
+def _window(n: float, k: float | None, eps: float, shift: int = 0):
+    """Load window of k balls in n bins and its anchor, moved up by shift."""
+    lo, hi = predicted_interval(n, k, eps)
+    anchor = math.floor(typical_max_load(n, k) - 1.0 / 3.0)
+    return (lo + shift, hi + shift), anchor + shift
+
+
+def _nu_report(cfg: ExperimentConfig, threshold: float) -> ConcentrationReport:
+    k = cfg.k if cfg.k is not None else cfg.n
+    load = typical_max_load(cfg.n, k)
+    return ConcentrationReport(
+        kind=cfg.kind, params={"n": cfg.n, "k": k, "eps": cfg.epsilon},
+        interval=predicted_interval(cfg.n, k, cfg.epsilon),
+        anchor=math.floor(load - 1.0 / 3.0), histogram={}, hit_fraction=None,
+        verdict="pass", master_seed=cfg.master_seed, trial_seeds=[],
+        elapsed_ms=0.0, extras={"typicalLoad": load})
+
+
+def _census_report(cfg: ExperimentConfig,
+                   threshold: float) -> ConcentrationReport:
+    seed = trial_seed(cfg.master_seed, 0)
+    result = exact_census_gnm(cfg.n, cfg.m, cfg.trials, seed)
+    passed = (result.tv_distance <= threshold
+              and not result.insufficient_samples)
+    return ConcentrationReport(
+        kind=cfg.kind,
+        params={"n": cfg.n, "m": cfg.m, "trials": cfg.trials,
+                "threshold": threshold},
+        interval=None, anchor=None,
+        histogram={i: c for i, c in enumerate(result.counts) if c},
+        hit_fraction=None, verdict="pass" if passed else "fail",
+        master_seed=cfg.master_seed, trial_seeds=[seed], elapsed_ms=0.0,
+        extras={"graphCount": result.graph_count,
                 "tvDistance": result.tv_distance,
                 "chiSquare": result.chi_square,
-                "insufficientSamples": result.insufficient_samples,
-            },
-        )
-        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return report
+                "insufficientSamples": result.insufficient_samples})
 
-    params: dict = {"trials": cfg.trials, "eps": cfg.epsilon,
-                    "threshold": threshold}
-    extras: dict = {}
-    flags: dict[str, int] = {}
 
-    def count(name: str, ok: bool) -> None:
-        flags[name] = flags.get(name, 0) + (1 if ok else 0)
+def _bins_window(cfg):
+    return Window({"n": cfg.n, "k": cfg.k},
+                  *_window(cfg.n, cfg.k, cfg.epsilon))
 
-    if cfg.kind == "bins":
-        _require(cfg, "n", "k")
-        params = {"n": cfg.n, "k": cfg.k, **params}
-        interval = predicted_interval(cfg.n, cfg.k, cfg.epsilon)
-        anchor = math.floor(typical_max_load(cfg.n, cfg.k) - 1.0 / 3.0)
 
-        def trial(seed):
-            return max_load(throw_balls(cfg.n, cfg.k, seed))
+def _bins_trial(cfg, seed):
+    return max_load(throw_balls(cfg.n, cfg.k, seed)), {}, 1
 
-    elif cfg.kind == "forest":
-        _require(cfg, "n", "t")
-        params = {"n": cfg.n, "t": cfg.t, **params}
-        interval = _forest_interval(cfg.n, cfg.epsilon)
-        anchor = math.floor(typical_max_load(cfg.n) - 1.0 / 3.0) + 1
 
-        def trial(seed):
-            deg = sample_forest_degrees(cfg.n, cfg.t, seed)
-            stat = int(deg.max())
-            count("rootGap", stat - int(deg[:cfg.t].max()) >= 1)
-            return stat
+def _forest_window(cfg):
+    return Window({"n": cfg.n, "t": cfg.t},
+                  *_window(cfg.n, None, cfg.epsilon, shift=1))
 
-    elif cfg.kind == "gnm":
-        _require(cfg, "n", "m")
-        params = {"n": cfg.n, "m": cfg.m, **params}
-        interval = predicted_interval(cfg.n, 2 * cfg.m, cfg.epsilon)
-        anchor = math.floor(typical_max_load(cfg.n, 2 * cfg.m) - 1.0 / 3.0)
-        attempts_total = [0]
 
-        def trial(seed):
-            g, attempts = sample_gnm_counted(cfg.n, cfg.m, seed)
-            attempts_total[0] += attempts
-            return g.max_degree()
+def _forest_trial(cfg, seed):
+    deg = sample_forest_degrees(cfg.n, cfg.t, seed)
+    stat = int(deg.max())
+    return stat, {"rootGap": stat - int(deg[:cfg.t].max()) >= 1}, 1
 
-    elif cfg.kind == "cs":
-        _require(cfg, "n", "m")
-        params = {"n": cfg.n, "m": cfg.m, **params}
-        interval = predicted_interval(cfg.n, None, cfg.epsilon)
-        anchor = math.floor(typical_max_load(cfg.n) - 1.0 / 3.0)
-        attempts_total = [0]
 
-        def trial(seed):
-            g, attempts = sample_cs_counted(cfg.n, cfg.m, seed)
-            attempts_total[0] += attempts
-            return g.max_degree()
+def _gnm_window(cfg):
+    return Window({"n": cfg.n, "m": cfg.m},
+                  *_window(cfg.n, 2 * cfg.m, cfg.epsilon))
 
-    elif cfg.kind == "complex":
-        _require(cfg, "core", "q")
-        params = {"coreOrder": cfg.core.n, "coreSize": cfg.core.num_edges,
-                  "q": cfg.q, **params}
-        interval = _forest_interval(cfg.q, cfg.epsilon)
-        anchor = math.floor(typical_max_load(cfg.q) - 1.0 / 3.0) + 1
-        core_pad = _core_degree_padding(cfg.core, cfg.q)
-        core_edge_set = cfg.core.edge_set()
 
-        def trial(seed):
-            g, forest = sample_complex(cfg.core, cfg.q, seed,
-                                       return_forest=True)
-            count("coreRecovery", core_of(g).edge_set() == core_edge_set)
-            expected = forest.degree_sequence() + core_pad
-            count("degreeIdentity",
-                  bool(np.array_equal(g.degree_sequence(), expected)))
-            return g.max_degree()
+def _gnm_trial(cfg, seed):
+    g, attempts = sample_gnm_counted(cfg.n, cfg.m, seed)
+    return g.max_degree(), {}, attempts
 
-    elif cfg.kind == "pipeline":
-        _require(cfg, "core", "large_order", "small_order", "n", "m")
-        spec = PipelineSpec(cfg.core, cfg.large_order, cfg.small_order,
-                            cfg.n, cfg.m)
-        prediction = two_point_prediction(cfg.n, cfg.m)
-        interval = prediction.as_tuple()
-        anchor = prediction.lower
-        extras["regime"] = prediction.regime
-        params = {"n": cfg.n, "m": cfg.m, "l": cfg.large_order,
-                  "r": cfg.small_order, "coreOrder": cfg.core.n,
-                  "coreSize": cfg.core.num_edges,
-                  "shuffleLabels": cfg.shuffle_labels, **params}
-        params.pop("eps")
-        track_parts = spec.small_order > 0 and spec.spare_order > 0
 
-        def trial(seed):
-            g = sample_pipeline(spec, seed,
-                                shuffle_labels=cfg.shuffle_labels)
-            parts = split(g)
-            count("conservation",
-                  g.n == cfg.n and g.num_edges == cfg.m)
-            count("partOrders",
-                  parts.large_complex.order == spec.large_order
-                  and parts.small_complex.order == spec.small_order
-                  and parts.non_complex.order == spec.spare_order)
-            if track_parts:
-                count("smallPartBelowSpare",
-                      parts.small_complex.max_degree()
-                      < parts.non_complex.max_degree())
-            return g.max_degree()
+def _cs_window(cfg):
+    return Window({"n": cfg.n, "m": cfg.m},
+                  *_window(cfg.n, None, cfg.epsilon))
 
-    else:  # pragma: no cover - guarded by the KINDS check
-        raise AssertionError(cfg.kind)
+
+def _cs_trial(cfg, seed):
+    g, attempts = sample_cs_counted(cfg.n, cfg.m, seed)
+    return g.max_degree(), {}, attempts
+
+
+def _complex_window(cfg):
+    return Window({"coreOrder": cfg.core.n, "coreSize": cfg.core.num_edges,
+                   "q": cfg.q}, *_window(cfg.q, None, cfg.epsilon, shift=1))
+
+
+def _complex_trial(cfg, seed):
+    g, forest = sample_complex(cfg.core, cfg.q, seed, return_forest=True)
+    expected = forest.degree_sequence()
+    expected[:cfg.core.n] += cfg.core.degree_sequence()
+    return g.max_degree(), {
+        "coreRecovery": core_of(g).edge_set() == cfg.core.edge_set(),
+        "degreeIdentity": bool(np.array_equal(g.degree_sequence(), expected)),
+    }, 1
+
+
+def _pipeline_window(cfg):
+    prediction = two_point_prediction(cfg.n, cfg.m)
+    params = {"n": cfg.n, "m": cfg.m, "l": cfg.large_order,
+              "r": cfg.small_order, "coreOrder": cfg.core.n,
+              "coreSize": cfg.core.num_edges,
+              "shuffleLabels": cfg.shuffle_labels}
+    return Window(params, prediction.as_tuple(), prediction.lower,
+                  {"regime": prediction.regime})
+
+
+def _pipeline_trial(cfg, seed):
+    spec = PipelineSpec(cfg.core, cfg.large_order, cfg.small_order,
+                        cfg.n, cfg.m)
+    g = sample_pipeline(spec, seed, shuffle_labels=cfg.shuffle_labels)
+    parts = split(g)
+    checks = {
+        "conservation": g.n == cfg.n and g.num_edges == cfg.m,
+        "partOrders": (parts.large_complex.order == spec.large_order
+                       and parts.small_complex.order == spec.small_order
+                       and parts.non_complex.order == spec.spare_order),
+    }
+    if spec.small_order > 0 and spec.spare_order > 0:
+        checks["smallPartBelowSpare"] = (parts.small_complex.max_degree()
+                                         < parts.non_complex.max_degree())
+    return g.max_degree(), checks, 1
+
+
+_N = Flag("--n", "n", low=1)
+_TRIALS = (Flag("--trials", "trials", help="number of trials (default 100)",
+                required=False, low=1),
+           Flag("--seed", "master_seed", help="master seed (default 0)",
+                required=False))
+_EPS = Flag("--eps", "epsilon", float,
+            help="interval half-width (default 0.25)", required=False)
+_CORE = Flag("--core", "core", str, help="edge-list file holding the core",
+             load=_read_core, metavar="FILE")
+
+KIND_SPECS: dict[str, KindSpec] = {
+    "nu": KindSpec(
+        "typical maximum load and its window",
+        (Flag("--n", "n", float, load=_int_if_whole),
+         Flag("--k", "k", float, help="ball count (defaults to n)",
+              required=False),
+         _EPS),
+        report=_nu_report),
+    "bins": KindSpec(
+        "maximum load of k balls in n bins",
+        (*_TRIALS, _EPS, _N, Flag("--k", "k", low=1)),
+        _bins_window, _bins_trial),
+    "forest": KindSpec(
+        "maximum degree of a uniform rooted forest",
+        (*_TRIALS, _EPS, _N, Flag("--t", "t", low=1)),
+        _forest_window, _forest_trial),
+    "gnm": KindSpec(
+        "maximum degree of a uniform graph with m edges",
+        (*_TRIALS, _EPS, _N, Flag("--m", "m", low=1)),
+        _gnm_window, _gnm_trial, counts_attempts=True),
+    "cs": KindSpec(
+        "maximum degree of a uniform complex-free graph",
+        (*_TRIALS, _EPS, _N, Flag("--m", "m", low=0)),
+        _cs_window, _cs_trial, counts_attempts=True),
+    "complex": KindSpec(
+        "maximum degree of a complex graph with a prescribed core",
+        (*_TRIALS, _EPS, _CORE,
+         Flag("--q", "q", help="order of the sampled graph", low=1)),
+        _complex_window, _complex_trial),
+    "pipeline": KindSpec(
+        "assembled three-part graph experiment",
+        (*_TRIALS, _CORE,
+         Flag("--l", "large_order", help="order of the large complex part",
+              low=0),
+         Flag("--r", "small_order", help="order of the small complex part",
+              low=0),
+         _N, Flag("--m", "m", low=0),
+         Flag("--shuffle-labels", "shuffle_labels", bool,
+              help="apply a uniform label permutation to each draw",
+              required=False)),
+        _pipeline_window, _pipeline_trial),
+    "census": KindSpec(
+        "uniformity check of the gnm sampler",
+        (*_TRIALS, _N, Flag("--m", "m", low=0)),
+        report=_census_report, threshold=DEFAULT_CENSUS_THRESHOLD),
+}
+
+KINDS = tuple(KIND_SPECS)
+
+
+def _checked_spec(cfg: ExperimentConfig) -> KindSpec:
+    """The table entry for cfg.kind, after checking cfg against its flags."""
+    spec = KIND_SPECS.get(cfg.kind)
+    if spec is None:
+        raise ValueError(f"unknown experiment kind {cfg.kind!r}")
+    for flag in spec.flags:
+        value = getattr(cfg, flag.field)
+        if value is None:
+            if flag.required:
+                raise ValueError(f"kind={cfg.kind!r} needs {flag.field}")
+        elif flag.type in (int, float) and not math.isfinite(value):
+            raise ValueError(f"kind={cfg.kind!r} needs a finite "
+                             f"{flag.field}, got {value}")
+        elif flag.low is not None and value < flag.low:
+            raise ValueError(f"kind={cfg.kind!r} needs {flag.field} >= "
+                             f"{flag.low}, got {value}")
+    if cfg.threshold is not None and not math.isfinite(cfg.threshold):
+        raise ValueError(f"threshold must be finite, got {cfg.threshold}")
+    return spec
+
+
+def _trial_report(cfg: ExperimentConfig, spec: KindSpec,
+                  threshold: float) -> ConcentrationReport:
+    window = spec.window(cfg)
+    params = {**window.params, "trials": cfg.trials}
+    if _EPS in spec.flags:
+        params["eps"] = cfg.epsilon
+    params["threshold"] = threshold
 
     seeds = [trial_seed(cfg.master_seed, i) for i in range(cfg.trials)]
     stats: list[int | None] = []
-    failures = 0
+    checks: dict[str, int] = {}
+    attempts = 0
     for seed in seeds:
         try:
-            stats.append(int(trial(seed)))
-        except SamplingCapExceeded:
+            stat, passed, tries = spec.trial(cfg, seed)
+        except SamplingCapExceeded as exc:
             stats.append(None)
-            failures += 1
+            attempts += exc.attempts
+            continue
+        stats.append(int(stat))
+        attempts += tries
+        for name, ok in passed.items():
+            checks[name] = checks.get(name, 0) + (1 if ok else 0)
 
     observed = [s for s in stats if s is not None]
-    histogram: dict[int, int] = {}
-    for s in observed:
-        histogram[s] = histogram.get(s, 0) + 1
-    lo, hi = interval
-    hits = sum(1 for s in observed if lo <= s <= hi)
-    hit_fraction = hits / cfg.trials
-
-    for name, good in flags.items():
+    lo, hi = window.interval
+    hit_fraction = sum(1 for s in observed if lo <= s <= hi) / cfg.trials
+    extras = dict(window.extras)
+    for name, good in checks.items():
         extras[name + "Fraction"] = good / cfg.trials
-    if cfg.kind in ("gnm", "cs"):
-        extras["acceptanceFraction"] = cfg.trials / attempts_total[0]
-    if failures:
-        extras["failedTrials"] = failures
+    if spec.counts_attempts:
+        extras["acceptanceFraction"] = len(observed) / attempts
+    if len(observed) < cfg.trials:
+        extras["failedTrials"] = cfg.trials - len(observed)
 
-    report = ConcentrationReport(
+    return ConcentrationReport(
         kind=cfg.kind,
         params=params,
         interval=(int(lo), int(hi)),
-        anchor=int(anchor),
-        histogram=dict(sorted(histogram.items())),
+        anchor=int(window.anchor),
+        histogram=dict(sorted(Counter(observed).items())),
         hit_fraction=hit_fraction,
         verdict="pass" if hit_fraction >= threshold else "fail",
         master_seed=cfg.master_seed,
@@ -316,6 +402,16 @@ def run_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
         extras=extras,
         trial_stats=stats,
     )
+
+
+def run_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
+    start = time.perf_counter()
+    spec = _checked_spec(cfg)
+    threshold = cfg.resolved_threshold()
+    if spec.report is not None:
+        report = spec.report(cfg, threshold)
+    else:
+        report = _trial_report(cfg, spec, threshold)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -341,7 +437,8 @@ def emit_report(report: ConcentrationReport, fmt: str = "json", *,
             doc["elapsedMs"] = round(report.elapsed_ms, 3)
         if report.extras:
             doc["extras"] = report.extras
-        return (json.dumps(doc, indent=2) + "\n").encode()
+        return (json.dumps(doc, indent=2, allow_nan=False)
+                + "\n").encode()
     if fmt == "csv":
         if not report.trial_stats:
             raise ValueError(f"kind={report.kind!r} has no per-trial rows; "

@@ -27,10 +27,11 @@ import heapq
 
 import numpy as np
 
-from .graphs import GraphError, LabeledGraph, _canonical_edges, _component_labels
+from .graphs import (GraphError, LabeledGraph, _canonical_edges,
+                     _component_labels, _EdgeListGraph)
 
 
-class RootedForest:
+class RootedForest(_EdgeListGraph):
     """Forest on {1..n} with t trees rooted at the vertices 1..t."""
 
     __slots__ = ("n", "t", "edges")
@@ -57,42 +58,25 @@ class RootedForest:
         self.t = t
         self.edges = arr
 
-    @property
-    def num_edges(self) -> int:
-        return int(self.edges.shape[0])
-
-    def degree_sequence(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.n + 1)[1:]
-
-    def max_degree(self) -> int:
-        if self.num_edges == 0:
-            return 0
-        return int(self.degree_sequence().max())
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edges}
-
     def as_graph(self) -> LabeledGraph:
         return LabeledGraph(self.n, self.edges)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RootedForest)
-            and self.n == other.n
-            and self.t == other.t
-            and np.array_equal(self.edges, other.edges)
-        )
 
     def __repr__(self) -> str:
         return f"RootedForest(n={self.n}, t={self.t})"
 
 
-def forest_count(n: int, t: int) -> int:
-    """Number of rooted forests on {1..n} with roots exactly 1..t."""
+def _forest_shape(n, t) -> tuple[int, int]:
+    """n and t as ints, checked to describe a rooted forest."""
     n = int(n)
     t = int(t)
     if n < 0 or not (0 <= t <= n) or (n > 0 and t == 0):
         raise ValueError("invalid forest shape")
+    return n, t
+
+
+def forest_count(n: int, t: int) -> int:
+    """Number of rooted forests on {1..n} with roots exactly 1..t."""
+    n, t = _forest_shape(n, t)
     if n == t:
         return 1
     return t * n ** (n - t - 1)
@@ -147,10 +131,7 @@ def encode_forest(forest: RootedForest) -> tuple[int, ...]:
 
 def decode_sequence(n: int, t: int, seq) -> RootedForest:
     """Inverse of encode_forest."""
-    n = int(n)
-    t = int(t)
-    if n < 0 or not (0 <= t <= n) or (n > 0 and t == 0):
-        raise ValueError("invalid forest shape")
+    n, t = _forest_shape(n, t)
     seq = _validate_sequence(n, t, seq)
     if not seq:
         return RootedForest(n, t)
@@ -180,10 +161,7 @@ def decode_sequence(n: int, t: int, seq) -> RootedForest:
 
 def degrees_from_sequence(n: int, t: int, seq) -> np.ndarray:
     """Forest degrees read directly off a sequence, no decoding."""
-    n = int(n)
-    t = int(t)
-    if n < 0 or not (0 <= t <= n) or (n > 0 and t == 0):
-        raise ValueError("invalid forest shape")
+    n, t = _forest_shape(n, t)
     seq = _validate_sequence(n, t, seq)
     occ = np.bincount(np.asarray(seq, dtype=np.int64), minlength=n + 1)[1:]
     occ[t:] += 1
@@ -198,10 +176,7 @@ def _draw_sequence(n: int, t: int, rng) -> np.ndarray:
 
 def sample_forest(n: int, t: int, rng=None) -> RootedForest:
     """Uniform rooted forest on {1..n} with roots 1..t."""
-    n = int(n)
-    t = int(t)
-    if n < 0 or not (0 <= t <= n) or (n > 0 and t == 0):
-        raise ValueError("invalid forest shape")
+    n, t = _forest_shape(n, t)
     if n == t:
         return RootedForest(n, t)
     rng = np.random.default_rng(rng)
@@ -214,10 +189,7 @@ def sample_forest_degrees(n: int, t: int, rng=None) -> np.ndarray:
     Consumes the generator exactly as sample_forest does, so with equal
     seeds this returns sample_forest(n, t, seed).degree_sequence().
     """
-    n = int(n)
-    t = int(t)
-    if n < 0 or not (0 <= t <= n) or (n > 0 and t == 0):
-        raise ValueError("invalid forest shape")
+    n, t = _forest_shape(n, t)
     if n == t:
         return np.zeros(n, dtype=np.int64)
     rng = np.random.default_rng(rng)

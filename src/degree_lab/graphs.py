@@ -60,24 +60,28 @@ def _canonical_edges(n: int, edges, *, allow_loops: bool, allow_multi: bool) -> 
     return arr
 
 
-class LabeledGraph:
-    """Simple undirected graph on vertex set {1..n}."""
+def _pairing_is_simple(n: int, u: np.ndarray, v: np.ndarray) -> bool:
+    """True when the edges (u[i], v[i]), u <= v, hold no loop and no repeat."""
+    if u.size == 0:
+        return True
+    if (u == v).any():
+        return False
+    key = u * np.int64(n + 1) + v
+    key.sort()
+    return not (key[1:] == key[:-1]).any()
 
-    __slots__ = ("n", "edges")
 
-    def __init__(self, n: int, edges=()):
-        n = int(n)
-        if n < 0:
-            raise GraphError("vertex count must be non-negative")
-        self.n = n
-        self.edges = _canonical_edges(n, edges, allow_loops=False, allow_multi=False)
+class _EdgeListGraph:
+    """Methods shared by graphs stored as n plus a canonical edge array."""
+
+    __slots__ = ()
 
     @property
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
 
     def degree_sequence(self) -> np.ndarray:
-        """Degree of vertex v at index v - 1."""
+        """Degree of vertex v at index v - 1; a loop at v counts 2."""
         return np.bincount(self.edges.ravel(), minlength=self.n + 1)[1:]
 
     def max_degree(self) -> int:
@@ -90,16 +94,29 @@ class LabeledGraph:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, LabeledGraph)
+            isinstance(other, type(self))
             and self.n == other.n
             and np.array_equal(self.edges, other.edges)
         )
 
     def __repr__(self) -> str:
-        return f"LabeledGraph(n={self.n}, m={self.num_edges})"
+        return f"{type(self).__name__}(n={self.n}, m={self.num_edges})"
 
 
-class MultiGraph:
+class LabeledGraph(_EdgeListGraph):
+    """Simple undirected graph on vertex set {1..n}."""
+
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges=()):
+        n = int(n)
+        if n < 0:
+            raise GraphError("vertex count must be non-negative")
+        self.n = n
+        self.edges = _canonical_edges(n, edges, allow_loops=False, allow_multi=False)
+
+
+class MultiGraph(_EdgeListGraph):
     """Undirected multigraph on {1..n}; loops and repeated edges allowed."""
 
     __slots__ = ("n", "edges")
@@ -111,40 +128,8 @@ class MultiGraph:
         self.n = n
         self.edges = _canonical_edges(n, edges, allow_loops=True, allow_multi=True)
 
-    @property
-    def num_edges(self) -> int:
-        return int(self.edges.shape[0])
-
-    def degree_sequence(self) -> np.ndarray:
-        """Degrees; a loop at v contributes 2 to the degree of v."""
-        return np.bincount(self.edges.ravel(), minlength=self.n + 1)[1:]
-
-    def max_degree(self) -> int:
-        if self.num_edges == 0:
-            return 0
-        return int(self.degree_sequence().max())
-
     def is_simple(self) -> bool:
-        e = self.edges
-        if e.shape[0] == 0:
-            return True
-        if (e[:, 0] == e[:, 1]).any():
-            return False
-        if e.shape[0] > 1:
-            dup = (e[1:, 0] == e[:-1, 0]) & (e[1:, 1] == e[:-1, 1])
-            if dup.any():
-                return False
-        return True
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiGraph)
-            and self.n == other.n
-            and np.array_equal(self.edges, other.edges)
-        )
-
-    def __repr__(self) -> str:
-        return f"MultiGraph(n={self.n}, m={self.num_edges})"
+        return _pairing_is_simple(self.n, self.edges[:, 0], self.edges[:, 1])
 
 
 class GraphSlice:

@@ -26,14 +26,19 @@ import numpy as np
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
 from .graphs import (GraphError, GraphSlice, LabeledGraph, MultiGraph,
-                     _component_stats, has_complex_component)
+                     _component_stats, _pairing_is_simple,
+                     has_complex_component)
 
 DEFAULT_GNM_CAP = 10_000
 DEFAULT_CS_CAP = 100_000
 
 
 class SamplingCapExceeded(RuntimeError):
-    """A rejection loop hit its attempt cap."""
+    """A rejection loop hit its attempt cap; .attempts is how many it made."""
+
+    def __init__(self, message: str, attempts: int):
+        super().__init__(message)
+        self.attempts = attempts
 
 
 def _draw_pairing(n: int, m: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -42,16 +47,6 @@ def _draw_pairing(n: int, m: int, rng) -> tuple[np.ndarray, np.ndarray]:
     a = positions[0::2]
     b = positions[1::2]
     return np.minimum(a, b), np.maximum(a, b)
-
-
-def _pairing_is_simple(n: int, u: np.ndarray, v: np.ndarray) -> bool:
-    if u.size == 0:
-        return True
-    if (u == v).any():
-        return False
-    key = u * np.int64(n + 1) + v
-    key.sort()
-    return not (key[1:] == key[:-1]).any()
 
 
 def sample_multigraph(n: int, m: int, rng=None) -> MultiGraph:
@@ -93,7 +88,8 @@ def sample_gnm_counted(n: int, m: int, rng=None, *,
         if _pairing_is_simple(n, u, v):
             return LabeledGraph(n, np.column_stack((u, v))), attempt
     raise SamplingCapExceeded(
-        f"no simple pairing in {max_attempts} attempts at n={n}, m={m}")
+        f"no simple pairing in {max_attempts} attempts at n={n}, m={m}",
+        max_attempts)
 
 
 def sample_gnm(n: int, m: int, rng=None, *,
@@ -118,11 +114,16 @@ def sample_cs_counted(n: int, m: int, rng=None, *,
         raise ValueError("a complex-free graph has at most n edges")
     rng = np.random.default_rng(rng)
     for attempt in range(1, max_attempts + 1):
-        g, _ = sample_gnm_counted(n, m, rng, max_attempts=gnm_attempts)
+        try:
+            g, _ = sample_gnm_counted(n, m, rng, max_attempts=gnm_attempts)
+        except SamplingCapExceeded as exc:
+            exc.attempts = attempt  # count G(n,m) draws, as the return does
+            raise
         if not has_complex_component(g):
             return g, attempt
     raise SamplingCapExceeded(
-        f"no complex-free draw in {max_attempts} attempts at n={n}, m={m}")
+        f"no complex-free draw in {max_attempts} attempts at n={n}, m={m}",
+        max_attempts)
 
 
 def sample_cs(n: int, m: int, rng=None, *,
@@ -147,6 +148,17 @@ def validate_core_graph(g: LabeledGraph) -> None:
         raise GraphError("every core component needs excess >= 1")
 
 
+def _complex_order(core: LabeledGraph, q) -> int:
+    """q as an int, checked as the order of a complex graph with this core."""
+    validate_core_graph(core)
+    if core.n == 0:
+        raise ValueError("core must be non-empty")
+    q = int(q)
+    if q < core.n:
+        raise ValueError("q must be at least the core order")
+    return q
+
+
 def sample_complex(core: LabeledGraph, q: int, rng=None, *,
                    return_forest: bool = False):
     """Uniform complex graph on {1..q} whose core is the given graph.
@@ -159,12 +171,7 @@ def sample_complex(core: LabeledGraph, q: int, rng=None, *,
     for core vertices.  With return_forest=True the intermediate forest
     comes back alongside the graph.
     """
-    validate_core_graph(core)
-    if core.n == 0:
-        raise ValueError("core must be non-empty")
-    q = int(q)
-    if q < core.n:
-        raise ValueError("q must be at least the core order")
+    q = _complex_order(core, q)
     forest = sample_forest(q, core.n, rng)
     edges = np.vstack((core.edges, forest.edges))
     g = LabeledGraph(q, edges)
@@ -179,12 +186,7 @@ def sample_complex_degrees(core: LabeledGraph, q: int, rng=None) -> np.ndarray:
     Stream-compatible: equals sample_complex(core, q, seed) degrees for
     the same seed.
     """
-    validate_core_graph(core)
-    if core.n == 0:
-        raise ValueError("core must be non-empty")
-    q = int(q)
-    if q < core.n:
-        raise ValueError("q must be at least the core order")
+    q = _complex_order(core, q)
     deg = sample_forest_degrees(q, core.n, rng)
     deg[:core.n] += core.degree_sequence()
     return deg
