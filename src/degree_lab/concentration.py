@@ -163,10 +163,7 @@ def classify_regime(n: int, m: int, *,
     return OUT_OF_SCOPE
 
 
-def two_point_prediction(n: int, m: int, *,
-                         window_coefficient: float = 1.0,
-                         linear_cap: float = 0.05,
-                         boundary_margin: float = 0.05) -> TwoPointPrediction:
+def two_point_prediction(n: int, m: int) -> TwoPointPrediction:
     """Two-point window for the maximum degree at n vertices, m edges.
 
     The anchor depends on the regime:
@@ -178,10 +175,7 @@ def two_point_prediction(n: int, m: int, *,
 
     Raises ValueError when classify_regime returns "out-of-scope".
     """
-    regime = classify_regime(n, m,
-                             window_coefficient=window_coefficient,
-                             linear_cap=linear_cap,
-                             boundary_margin=boundary_margin)
+    regime = classify_regime(n, m)
     if regime == OUT_OF_SCOPE:
         raise ValueError(f"(n={n}, m={m}) is outside the supported regimes")
     if regime == REGIME_BELOW:

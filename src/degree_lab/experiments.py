@@ -159,6 +159,12 @@ def _window(n: float, k: float | None, eps: float, shift: int = 0):
     return (lo + shift, hi + shift), anchor + shift
 
 
+def _capped(interval: tuple[int, int], anchor: int, top: int):
+    """A degree window and its anchor lowered to top, the largest degree
+    the sampled graph can have."""
+    return (min(interval[0], top), min(interval[1], top)), min(anchor, top)
+
+
 def _nu_report(cfg: ExperimentConfig, threshold: float) -> ConcentrationReport:
     k = cfg.k if cfg.k is not None else cfg.n
     load = typical_max_load(cfg.n, k)
@@ -201,7 +207,8 @@ def _bins_trial(cfg, seed):
 
 def _forest_window(cfg):
     return Window({"n": cfg.n, "t": cfg.t},
-                  *_window(cfg.n, None, cfg.epsilon, shift=1))
+                  *_capped(*_window(cfg.n, None, cfg.epsilon, shift=1),
+                           cfg.n - 1))
 
 
 def _forest_trial(cfg, seed):
@@ -212,7 +219,7 @@ def _forest_trial(cfg, seed):
 
 def _gnm_window(cfg):
     return Window({"n": cfg.n, "m": cfg.m},
-                  *_window(cfg.n, 2 * cfg.m, cfg.epsilon))
+                  *_capped(*_window(cfg.n, 2 * cfg.m, cfg.epsilon), cfg.n - 1))
 
 
 def _gnm_trial(cfg, seed):
@@ -222,7 +229,7 @@ def _gnm_trial(cfg, seed):
 
 def _cs_window(cfg):
     return Window({"n": cfg.n, "m": cfg.m},
-                  *_window(cfg.n, None, cfg.epsilon))
+                  *_capped(*_window(cfg.n, None, cfg.epsilon), cfg.n - 1))
 
 
 def _cs_trial(cfg, seed):
@@ -232,7 +239,9 @@ def _cs_trial(cfg, seed):
 
 def _complex_window(cfg):
     return Window({"coreOrder": cfg.core.n, "coreSize": cfg.core.num_edges,
-                   "q": cfg.q}, *_window(cfg.q, None, cfg.epsilon, shift=1))
+                   "q": cfg.q},
+                  *_capped(*_window(cfg.q, None, cfg.epsilon, shift=1),
+                           cfg.q - 1))
 
 
 def _complex_trial(cfg, seed):
@@ -251,7 +260,8 @@ def _pipeline_window(cfg):
               "r": cfg.small_order, "coreOrder": cfg.core.n,
               "coreSize": cfg.core.num_edges,
               "shuffleLabels": cfg.shuffle_labels}
-    return Window(params, prediction.as_tuple(), prediction.lower,
+    return Window(params, *_capped(prediction.as_tuple(), prediction.lower,
+                                   cfg.n - 1),
                   {"regime": prediction.regime})
 
 

@@ -27,8 +27,8 @@ import heapq
 
 import numpy as np
 
-from .graphs import (GraphError, LabeledGraph, _canonical_edges,
-                     _component_labels, _EdgeListGraph)
+from .graphs import (GraphError, LabeledGraph, _component_labels,
+                     _EdgeListGraph)
 
 
 class RootedForest(_EdgeListGraph):
@@ -37,26 +37,22 @@ class RootedForest(_EdgeListGraph):
     __slots__ = ("n", "t", "edges")
 
     def __init__(self, n: int, t: int, edges=()):
-        n = int(n)
+        super().__init__(n, edges)
+        n = self.n
         t = int(t)
-        if n < 0:
-            raise GraphError("vertex count must be non-negative")
         if not (0 <= t <= n):
             raise GraphError("root count out of range")
         if n > 0 and t == 0:
             raise GraphError("a non-empty forest needs at least one root")
-        arr = _canonical_edges(n, edges, allow_loops=False, allow_multi=False)
-        if arr.shape[0] != n - t:
+        if self.edges.shape[0] != n - t:
             raise GraphError(f"a forest with {t} trees on {n} vertices "
-                             f"has {n - t} edges, got {arr.shape[0]}")
-        labels = _component_labels(n, arr)
+                             f"has {n - t} edges, got {self.edges.shape[0]}")
+        labels = _component_labels(n, self.edges)
         if len(np.unique(labels)) != t:
             raise GraphError("edge set does not form exactly t trees")
         if t > 0 and len(np.unique(labels[:t])) != t:
             raise GraphError("two roots share a tree")
-        self.n = n
         self.t = t
-        self.edges = arr
 
     def as_graph(self) -> LabeledGraph:
         return LabeledGraph(self.n, self.edges)

@@ -7,8 +7,13 @@ The complex part of a graph is the union of its complex components.  The
 core is the maximal subgraph of the complex part with minimum degree at
 least two, obtained by repeatedly peeling vertices of degree <= 1.
 
-Everything here is immutable after construction.  Subgraphs extracted by
-complex_part / core_of / split keep their original vertex labels.
+Every graph stores its edges as a canonical array: rows (u, v) with
+u <= v, lexsorted, read-only.  A GraphSlice is the subgraph of a host
+picked by a vertex mask: the picked vertices, with their original
+labels, and the host edges whose endpoints are both picked.  Rows taken
+from a canonical array stay canonical, so complex_part, core_of and
+split cut their slices from the input graph, or from a slice of it,
+without sorting or checking again.
 """
 from __future__ import annotations
 
@@ -27,22 +32,17 @@ class GraphError(Exception):
     """A graph value violates one of its invariants."""
 
 
-def _as_edge_array(edges) -> np.ndarray:
+def _canonical_edges(n: int, edges, *, allow_loops: bool, allow_multi: bool) -> np.ndarray:
+    """Validate endpoints and return edges as a lexsorted (m, 2) array."""
     if isinstance(edges, np.ndarray):
         arr = edges.astype(np.int64, copy=True)
     else:
         arr = np.array([(int(u), int(v)) for u, v in edges], dtype=np.int64)
     if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+        arr = np.empty((0, 2), dtype=np.int64)
+    elif arr.ndim != 2 or arr.shape[1] != 2:
         raise GraphError("edges must be a sequence of pairs")
-    return arr
-
-
-def _canonical_edges(n: int, edges, *, allow_loops: bool, allow_multi: bool) -> np.ndarray:
-    """Validate endpoints and return edges as a lexsorted (m, 2) array."""
-    arr = _as_edge_array(edges)
-    if arr.size:
+    else:
         if arr.min() < 1 or arr.max() > n:
             raise GraphError("edge endpoint outside 1..n")
         u = np.minimum(arr[:, 0], arr[:, 1])
@@ -72,9 +72,23 @@ def _pairing_is_simple(n: int, u: np.ndarray, v: np.ndarray) -> bool:
 
 
 class _EdgeListGraph:
-    """Methods shared by graphs stored as n plus a canonical edge array."""
+    """A graph stored as n plus a canonical edge array.
+
+    Subclasses say by the class attributes allow_loops and allow_multi
+    which edge lists they accept.
+    """
 
     __slots__ = ()
+    allow_loops = False
+    allow_multi = False
+
+    def __init__(self, n: int, edges=()):
+        n = int(n)
+        if n < 0:
+            raise GraphError("vertex count must be non-negative")
+        self.n = n
+        self.edges = _canonical_edges(n, edges, allow_loops=self.allow_loops,
+                                      allow_multi=self.allow_multi)
 
     @property
     def num_edges(self) -> int:
@@ -108,51 +122,37 @@ class LabeledGraph(_EdgeListGraph):
 
     __slots__ = ("n", "edges")
 
-    def __init__(self, n: int, edges=()):
-        n = int(n)
-        if n < 0:
-            raise GraphError("vertex count must be non-negative")
-        self.n = n
-        self.edges = _canonical_edges(n, edges, allow_loops=False, allow_multi=False)
-
 
 class MultiGraph(_EdgeListGraph):
     """Undirected multigraph on {1..n}; loops and repeated edges allowed."""
 
     __slots__ = ("n", "edges")
-
-    def __init__(self, n: int, edges=()):
-        n = int(n)
-        if n < 0:
-            raise GraphError("vertex count must be non-negative")
-        self.n = n
-        self.edges = _canonical_edges(n, edges, allow_loops=True, allow_multi=True)
+    allow_loops = allow_multi = True
 
     def is_simple(self) -> bool:
         return _pairing_is_simple(self.n, self.edges[:, 0], self.edges[:, 1])
 
 
 class GraphSlice:
-    """A subgraph extracted from a host graph, original labels kept."""
+    """The subgraph of a host graph picked by a vertex mask.
+
+    host is any graph with a canonical .edges array (LabeledGraph,
+    MultiGraph, RootedForest or another GraphSlice); vmask[v - 1] picks
+    vertex v and may set only vertices of the host.  The slice keeps the
+    picked labels, increasing, and the host edges with both endpoints
+    picked, in host order.  Both arrays are read-only.
+    """
 
     __slots__ = ("vertices", "edges")
 
-    def __init__(self, vertices, edges=()):
-        verts = np.unique(np.asarray(list(vertices), dtype=np.int64))
-        if verts.size and verts[0] < 1:
-            raise GraphError("slice vertex labels must be positive")
-        arr = _as_edge_array(edges)
-        if arr.size:
-            u = np.minimum(arr[:, 0], arr[:, 1])
-            v = np.maximum(arr[:, 0], arr[:, 1])
-            if not (np.isin(u, verts).all() and np.isin(v, verts).all()):
-                raise GraphError("slice edge endpoint outside the slice")
-            order = np.lexsort((v, u))
-            arr = np.column_stack((u[order], v[order]))
-        verts.setflags(write=False)
-        arr.setflags(write=False)
-        self.vertices = verts
-        self.edges = arr
+    def __init__(self, host, vmask):
+        vmask = np.asarray(vmask, dtype=bool)
+        edges = host.edges
+        keep = vmask[edges[:, 0] - 1] & vmask[edges[:, 1] - 1]
+        self.vertices = np.flatnonzero(vmask) + 1
+        self.edges = edges[keep]
+        self.vertices.setflags(write=False)
+        self.edges.setflags(write=False)
 
     @property
     def order(self) -> int:
@@ -270,50 +270,52 @@ def classify_component(vertex_count: int, edge_count: int) -> str:
     return COMPLEX
 
 
-def _complex_mask(g: LabeledGraph):
-    """Per-vertex and per-edge masks selecting the complex part."""
+def _complex_components(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Component label per vertex, and the mask of the complex part."""
     labels, vcounts, ecounts = _component_stats(g.n, g.edges)
-    complex_comp = ecounts >= vcounts + 1
-    vmask = complex_comp[labels] if g.n else np.zeros(0, dtype=bool)
-    if g.edges.shape[0]:
-        emask = complex_comp[labels[g.edges[:, 0] - 1]]
-    else:
-        emask = np.zeros(0, dtype=bool)
-    return labels, vmask, emask
+    return labels, (ecounts >= vcounts + 1)[labels]
+
+
+def _largest_component(n: int, edges: np.ndarray) -> np.ndarray:
+    """Vertex mask of the component with the most vertices.
+
+    Ties go to the component holding the smallest label; with no
+    vertices the mask is empty.
+    """
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    labels = _component_labels(n, edges)
+    # argmax takes the first maximum, and ids rise with the smallest label
+    return labels == np.argmax(np.bincount(labels))
 
 
 def has_complex_component(g: LabeledGraph) -> bool:
-    _, vcounts, ecounts = _component_stats(g.n, g.edges)
-    return bool((ecounts >= vcounts + 1).any())
+    return bool(_complex_components(g)[1].any())
 
 
 def complex_part(g: LabeledGraph) -> GraphSlice:
     """Union of all components with excess >= 1, labels preserved."""
-    _, vmask, emask = _complex_mask(g)
-    return GraphSlice(np.flatnonzero(vmask) + 1, g.edges[emask])
+    return GraphSlice(g, _complex_components(g)[1])
 
 
 def _peel_to_core(part: GraphSlice) -> GraphSlice:
     """Worklist peel of degree <= 1 vertices; O(order + size)."""
-    if part.is_empty or part.size == 0:
-        return GraphSlice([], [])
-    hi = int(part.vertices.max())
-    deg = np.bincount(part.edges.ravel(), minlength=hi + 1)
+    if part.size == 0:
+        return GraphSlice(part, np.zeros(0, dtype=bool))
+    hi = int(part.vertices[-1])
     # flat adjacency in CSR form over labels 0..hi
     src = np.concatenate((part.edges[:, 0], part.edges[:, 1]))
     dst = np.concatenate((part.edges[:, 1], part.edges[:, 0]))
     order = np.argsort(src, kind="stable")
     neighbors = dst[order].tolist()
-    indptr = np.zeros(hi + 2, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=hi + 1), out=indptr[1:])
-    indptr = indptr.tolist()
+    deg = np.bincount(src, minlength=hi + 1)
+    indptr = [0] + np.cumsum(deg).tolist()
     degl = deg.tolist()
-
     alive = np.zeros(hi + 1, dtype=bool)
     alive[part.vertices] = True
     alive_l = alive.tolist()
 
-    stack = [int(v) for v in part.vertices if degl[v] <= 1]
+    stack = [v for v in part.vertices.tolist() if degl[v] <= 1]
     while stack:
         y = stack.pop()
         if not alive_l[y] or degl[y] >= 2:
@@ -324,9 +326,7 @@ def _peel_to_core(part: GraphSlice) -> GraphSlice:
                 degl[w] -= 1
                 if degl[w] == 1:
                     stack.append(w)
-    alive = np.asarray(alive_l)
-    keep = alive[part.edges[:, 0]] & alive[part.edges[:, 1]]
-    return GraphSlice(np.flatnonzero(alive), part.edges[keep])
+    return GraphSlice(part, alive_l[1:])
 
 
 def core_of(g: LabeledGraph) -> GraphSlice:
@@ -336,32 +336,15 @@ def core_of(g: LabeledGraph) -> GraphSlice:
 
 def split(g: LabeledGraph) -> Decomposition:
     """Three-way decomposition (large complex, small complex, rest) + core."""
-    labels, vmask, emask = _complex_mask(g)
-    cpart = GraphSlice(np.flatnonzero(vmask) + 1, g.edges[emask])
-    core = _peel_to_core(cpart)
-
+    labels, in_complex = _complex_components(g)
+    core = _peel_to_core(GraphSlice(g, in_complex))
     if core.is_empty:
-        empty = GraphSlice([], [])
-        non_complex = GraphSlice(np.arange(1, g.n + 1), g.edges)
-        return Decomposition(empty, empty, non_complex, core,
-                             np.zeros(0, dtype=np.int64))
-
-    # group core vertices by their component within the core
-    core_labels = _component_labels(int(core.vertices.max()), core.edges)
-    piece_of = core_labels[core.vertices - 1]
-    order = np.argsort(piece_of, kind="stable")
-    bounds = np.flatnonzero(np.diff(piece_of[order])) + 1
-    pieces = np.split(core.vertices[order], bounds)
-    # largest piece wins; ties go to the piece with the smallest label
-    best = max(pieces, key=lambda p: (p.size, -int(p.min())))
-
-    large_id = labels[int(best[0]) - 1]
-    in_large_v = vmask & (labels == large_id)
-    vert_ids = labels[g.edges[:, 0] - 1] if g.edges.shape[0] else labels[:0]
-    in_large_e = emask & (vert_ids == large_id)
-
-    large = GraphSlice(np.flatnonzero(in_large_v) + 1, g.edges[in_large_e])
-    small = GraphSlice(np.flatnonzero(vmask & ~in_large_v) + 1,
-                       g.edges[emask & ~in_large_e])
-    rest = GraphSlice(np.flatnonzero(~vmask) + 1, g.edges[~emask])
-    return Decomposition(large, small, rest, core, best)
+        best = np.zeros(0, dtype=np.int64)
+        in_large = np.zeros(g.n, dtype=bool)
+    else:
+        hi = int(core.vertices[-1])
+        best = np.flatnonzero(_largest_component(hi, core.edges)) + 1
+        in_large = labels == labels[best[0] - 1]
+    return Decomposition(GraphSlice(g, in_large),
+                         GraphSlice(g, in_complex & ~in_large),
+                         GraphSlice(g, ~in_complex), core, best)

@@ -26,11 +26,12 @@ import numpy as np
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
 from .graphs import (GraphError, GraphSlice, LabeledGraph, MultiGraph,
-                     _component_stats, _pairing_is_simple,
-                     has_complex_component)
+                     _complex_components, _largest_component,
+                     _pairing_is_simple, has_complex_component)
 
 DEFAULT_GNM_CAP = 10_000
 DEFAULT_CS_CAP = 100_000
+ENUMERATION_CAP = 10_000
 
 
 class SamplingCapExceeded(RuntimeError):
@@ -98,8 +99,7 @@ def sample_gnm(n: int, m: int, rng=None, *,
 
 
 def sample_cs_counted(n: int, m: int, rng=None, *,
-                      max_attempts: int = DEFAULT_CS_CAP,
-                      gnm_attempts: int = DEFAULT_GNM_CAP
+                      max_attempts: int = DEFAULT_CS_CAP
                       ) -> tuple[LabeledGraph, int]:
     """Uniform complex-free graph, plus the number of G(n,m) draws used.
 
@@ -115,7 +115,7 @@ def sample_cs_counted(n: int, m: int, rng=None, *,
     rng = np.random.default_rng(rng)
     for attempt in range(1, max_attempts + 1):
         try:
-            g, _ = sample_gnm_counted(n, m, rng, max_attempts=gnm_attempts)
+            g, _ = sample_gnm_counted(n, m, rng)
         except SamplingCapExceeded as exc:
             exc.attempts = attempt  # count G(n,m) draws, as the return does
             raise
@@ -143,8 +143,7 @@ def validate_core_graph(g: LabeledGraph) -> None:
         return
     if g.num_edges == 0 or g.degree_sequence().min() < 2:
         raise GraphError("core graph needs minimum degree 2")
-    _, vcounts, ecounts = _component_stats(g.n, g.edges)
-    if (ecounts < vcounts + 1).any():
+    if not _complex_components(g)[1].all():
         raise GraphError("every core component needs excess >= 1")
 
 
@@ -192,25 +191,16 @@ def sample_complex_degrees(core: LabeledGraph, q: int, rng=None) -> np.ndarray:
     return deg
 
 
-def _relabel_to_prefix(vertices: np.ndarray, edges: np.ndarray) -> LabeledGraph:
+def _relabel_to_prefix(part: GraphSlice) -> LabeledGraph:
     """Order-preserving relabeling of a slice onto {1..order}."""
-    new = np.searchsorted(vertices, edges) + 1 if edges.size else edges
-    return LabeledGraph(vertices.size, new)
+    new = np.searchsorted(part.vertices, part.edges) + 1
+    return LabeledGraph(part.order, new)
 
 
 def _core_components(core: LabeledGraph) -> tuple[GraphSlice, GraphSlice]:
-    """Split a core into its largest component and the rest.
-
-    Largest by vertex count; ties go to the component holding the
-    smallest label.
-    """
-    labels, vcounts, _ = _component_stats(core.n, core.edges)
-    best = int(np.argmax(vcounts))  # argmax takes the first, ids rise with min label
-    vmask = labels == best
-    emask = vmask[core.edges[:, 0] - 1] if core.edges.size else np.zeros(0, bool)
-    large = GraphSlice(np.flatnonzero(vmask) + 1, core.edges[emask])
-    rest = GraphSlice(np.flatnonzero(~vmask) + 1, core.edges[~emask])
-    return large, rest
+    """The largest component of a core, as split picks it, and the rest."""
+    vmask = _largest_component(core.n, core.edges)
+    return GraphSlice(core, vmask), GraphSlice(core, ~vmask)
 
 
 @dataclass(frozen=True)
@@ -233,10 +223,7 @@ class PipelineSpec:
 
     def __post_init__(self):
         validate_core_graph(self.core)
-        if self.core.n == 0:
-            large = rest = GraphSlice([], [])
-        else:
-            large, rest = _core_components(self.core)
+        large, rest = _core_components(self.core)
         if self.large_order < large.order:
             raise ValueError("large_order smaller than the largest core component")
         if self.small_order < rest.order:
@@ -264,9 +251,7 @@ class PipelineSpec:
 
 
 def sample_pipeline(spec: PipelineSpec, rng=None, *,
-                    shuffle_labels: bool = False,
-                    cs_attempts: int = DEFAULT_CS_CAP,
-                    gnm_attempts: int = DEFAULT_GNM_CAP) -> LabeledGraph:
+                    shuffle_labels: bool = False) -> LabeledGraph:
     """Assemble a uniform-by-parts graph with n vertices and m edges.
 
     Draws, in order: the large complex part on labels {1..l}, the small
@@ -282,14 +267,13 @@ def sample_pipeline(spec: PipelineSpec, rng=None, *,
     r = spec.small_order
     blocks = []
     if l:
-        core_l = _relabel_to_prefix(large.vertices, large.edges)
+        core_l = _relabel_to_prefix(large)
         blocks.append(sample_complex(core_l, l, rng).edges)
     if r:
-        core_r = _relabel_to_prefix(rest.vertices, rest.edges)
+        core_r = _relabel_to_prefix(rest)
         blocks.append(sample_complex(core_r, r, rng).edges + l)
     if spec.spare_order:
-        spare = sample_cs(spec.spare_order, spec.spare_edges, rng,
-                          max_attempts=cs_attempts)
+        spare = sample_cs(spec.spare_order, spec.spare_edges, rng)
         blocks.append(spare.edges + (l + r))
     edges = np.vstack(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
     if shuffle_labels:
@@ -311,21 +295,20 @@ class UniformityReport:
     counts: tuple[int, ...]
 
 
-def enumerate_gnm(n: int, m: int, *, cap: int = 10_000) -> list[LabeledGraph]:
+def enumerate_gnm(n: int, m: int) -> list[LabeledGraph]:
     """All simple graphs on {1..n} with m edges, in lexicographic order."""
     n = int(n)
     m = int(m)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     total = comb(len(pairs), m)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise ValueError(f"{total} graphs is too many to enumerate")
     return [LabeledGraph(n, subset)
             for subset in itertools.combinations(pairs, m)]
 
 
-def exact_census_gnm(n: int, m: int, trials: int, rng=None, *,
-                     cap: int = 10_000,
-                     gnm_attempts: int = DEFAULT_GNM_CAP) -> UniformityReport:
+def exact_census_gnm(n: int, m: int, trials: int,
+                     rng=None) -> UniformityReport:
     """Compare sample_gnm against brute-force enumeration.
 
     Draws `trials` samples, counts how often each enumerated graph
@@ -334,7 +317,7 @@ def exact_census_gnm(n: int, m: int, trials: int, rng=None, *,
     degenerate distance 1 - 1/graph_count and flags itself; the flag
     also trips whenever trials < graph_count.
     """
-    graphs = enumerate_gnm(n, m, cap=cap)
+    graphs = enumerate_gnm(n, m)
     total = len(graphs)
     index = {g.edges.tobytes(): i for i, g in enumerate(graphs)}
     trials = int(trials)
@@ -343,7 +326,7 @@ def exact_census_gnm(n: int, m: int, trials: int, rng=None, *,
     rng = np.random.default_rng(rng)
     counts = [0] * total
     for _ in range(trials):
-        g, _ = sample_gnm_counted(n, m, rng, max_attempts=gnm_attempts)
+        g, _ = sample_gnm_counted(n, m, rng)
         counts[index[g.edges.tobytes()]] += 1
     if trials == 0:
         return UniformityReport(total, 0, 1.0 - 1.0 / total, None, True,
