@@ -132,16 +132,14 @@ class TwoPointPrediction:
         return (self.lower, self.upper)
 
 
-def classify_regime(n: int, m: int, *,
-                    window_coefficient: float = 1.0,
-                    linear_cap: float = 0.05,
+def classify_regime(n: int, m: int, *, linear_cap: float = 0.05,
                     boundary_margin: float = 0.05) -> str:
     """Place an (n, m) pair into one of the supported density regimes.
 
     With s = m - n/2 and a = 2m/n:
 
-      "I"   if s <= window_coefficient * n**(2/3),
-      "II"  if window_coefficient * n**(2/3) < s <= linear_cap * n,
+      "I"   if s <= n**(2/3),
+      "II"  if n**(2/3) < s <= linear_cap * n,
       "III" if 1 + boundary_margin < a < 2 - boundary_margin,
 
     checked in that order; anything else is "out-of-scope".
@@ -153,7 +151,7 @@ def classify_regime(n: int, m: int, *,
     if m < 0:
         raise ValueError("edge count must be non-negative")
     s = m - n / 2.0
-    if s <= window_coefficient * n ** (2.0 / 3.0):
+    if s <= n ** (2.0 / 3.0):
         return REGIME_BELOW
     if s <= linear_cap * n:
         return REGIME_WINDOW

@@ -10,7 +10,9 @@ The encoding repeatedly removes the leaf with the largest label and
 records its neighbour.  The largest leaf is never a root: a root of
 degree one shares its tree with a second leaf, and that leaf, not being
 a root, carries a larger label.  Decoding reverses the process from the
-multiset of recorded neighbours.
+multiset of recorded neighbours.  Both directions take one linear pass,
+whose pointer to the largest leaf only moves down.  Sequences are 1-D
+int64 arrays; encode_forest returns a tuple of ints.
 
 Degrees can be read off a sequence without decoding: a vertex appears
 in the sequence once per removed neighbour, and every non-root is
@@ -22,8 +24,6 @@ Uniform sequences are trivial to draw, which makes uniform forests and
 their degree sequences cheap to sample.
 """
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -78,88 +78,74 @@ def forest_count(n: int, t: int) -> int:
     return t * n ** (n - t - 1)
 
 
-def _validate_sequence(n: int, t: int, seq) -> tuple[int, ...]:
-    seq = tuple(int(w) for w in seq)
-    if len(seq) != n - t:
+def _validate_sequence(n: int, t: int, seq) -> np.ndarray:
+    seq = np.asarray(seq)
+    if seq.ndim != 1 or (seq.size and seq.dtype.kind not in "iu"):
+        raise ValueError("sequence must be a 1-D sequence of integers")
+    seq = seq.astype(np.int64, copy=False)
+    if seq.size != n - t:
         raise ValueError(f"sequence must have length {n - t}")
-    if seq:
-        body, last = seq[:-1], seq[-1]
-        if any(not 1 <= w <= n for w in body):
-            raise ValueError("sequence entry outside 1..n")
-        if not 1 <= last <= t:
-            raise ValueError("last sequence entry outside 1..t")
+    if seq.size and ((seq[:-1] < 1) | (seq[:-1] > n)).any():
+        raise ValueError("sequence entry outside 1..n")
+    if seq.size and not 1 <= seq[-1] <= t:
+        raise ValueError("last sequence entry outside 1..t")
     return seq
+
+
+def _remove_largest_leaves(degrees: np.ndarray, neighbour):
+    """Leaves in largest-leaf removal order, and neighbour(leaf) of each;
+    degrees[v - 1] is the degree of v."""
+    # deg[0] = 1 stops the pointer at 0, ending the loop, after the last edge
+    deg = [1] + degrees.tolist()
+    ptr = len(deg) - 1
+    while deg[ptr] != 1:
+        ptr -= 1
+    leaf = ptr
+    leaves, neighbours = [], []
+    while leaf:
+        x = neighbour(leaf)
+        leaves.append(leaf)
+        neighbours.append(x)
+        deg[x] -= 1
+        if deg[x] == 1 and x > ptr:
+            leaf = x
+        else:
+            ptr -= 1
+            while deg[ptr] != 1:
+                ptr -= 1
+            leaf = ptr
+    return leaves, neighbours
 
 
 def encode_forest(forest: RootedForest) -> tuple[int, ...]:
     """Neighbour sequence of the repeated largest-leaf removal."""
-    n, t = forest.n, forest.t
-    if n == t:
-        return ()
-    deg = [0] * (n + 1)
-    nbrs: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in forest.edges:
-        u, v = int(u), int(v)
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-        deg[u] += 1
-        deg[v] += 1
+    # a leaf's one neighbour is the XOR of its neighbours not yet removed
+    xor = np.zeros(forest.n + 1, dtype=np.int64)
+    np.bitwise_xor.at(xor, forest.edges, forest.edges[:, ::-1])
+    xor = xor.tolist()
 
-    # max-heap of candidate leaves, lazy deletion; roots never enter
-    heap = [-v for v in range(t + 1, n + 1) if deg[v] == 1]
-    heapq.heapify(heap)
-    alive = [True] * (n + 1)
-    out = []
-    for _ in range(n - t):
-        while True:
-            y = -heapq.heappop(heap)
-            if alive[y] and deg[y] == 1:
-                break
-        x = next(w for w in nbrs[y] if alive[w])
-        out.append(x)
-        alive[y] = False
-        deg[y] = 0
-        deg[x] -= 1
-        if deg[x] == 1 and x > t:
-            heapq.heappush(heap, -x)
-    return tuple(out)
+    def detach(leaf):
+        x = xor[leaf]
+        xor[x] ^= leaf
+        return x
+
+    return tuple(_remove_largest_leaves(forest.degree_sequence(), detach)[1])
 
 
 def decode_sequence(n: int, t: int, seq) -> RootedForest:
     """Inverse of encode_forest."""
-    n, t = _forest_shape(n, t)
-    seq = _validate_sequence(n, t, seq)
-    if not seq:
-        return RootedForest(n, t)
-
-    # pending-degree bookkeeping mirroring the removal process
-    deg = [0] * (n + 1)
-    for w in seq:
-        deg[w] += 1
-    for v in range(t + 1, n + 1):
-        deg[v] += 1
-
-    heap = [-v for v in range(1, n + 1) if deg[v] == 1]
-    heapq.heapify(heap)
-    edges = []
-    for w in seq:
-        while True:
-            y = -heapq.heappop(heap)
-            if deg[y] == 1:
-                break
-        edges.append((w, y))
-        deg[y] -= 1
-        deg[w] -= 1
-        if deg[w] == 1:
-            heapq.heappush(heap, -w)
-    return RootedForest(n, t, edges)
+    degrees = degrees_from_sequence(n, t, seq)  # checks n, t and seq
+    seq = np.asarray(seq, dtype=np.int64)
+    entries = iter(seq.tolist())
+    leaves, _ = _remove_largest_leaves(degrees, lambda leaf: next(entries))
+    return RootedForest(n, t, np.column_stack((seq, leaves)))
 
 
 def degrees_from_sequence(n: int, t: int, seq) -> np.ndarray:
     """Forest degrees read directly off a sequence, no decoding."""
     n, t = _forest_shape(n, t)
     seq = _validate_sequence(n, t, seq)
-    occ = np.bincount(np.asarray(seq, dtype=np.int64), minlength=n + 1)[1:]
+    occ = np.bincount(seq, minlength=n + 1)[1:]
     occ[t:] += 1
     return occ
 

@@ -8,12 +8,13 @@ core is the maximal subgraph of the complex part with minimum degree at
 least two, obtained by repeatedly peeling vertices of degree <= 1.
 
 Every graph stores its edges as a canonical array: rows (u, v) with
-u <= v, lexsorted, read-only.  A GraphSlice is the subgraph of a host
-picked by a vertex mask: the picked vertices, with their original
-labels, and the host edges whose endpoints are both picked.  Rows taken
-from a canonical array stay canonical, so complex_part, core_of and
-split cut their slices from the input graph, or from a slice of it,
-without sorting or checking again.
+u <= v, read-only, sorted by the key u * (n + 1) + v (by u, then by
+v); n is at most MAX_VERTICES, so that the keys fit in int64.  A
+GraphSlice is the subgraph of a host picked by a vertex mask: the
+picked vertices, with their original labels, and the host edges whose
+endpoints are both picked.  Rows taken from a canonical array stay
+canonical, so complex_part, core_of and split cut their slices from the
+input graph, or from a slice of it, without sorting or checking again.
 """
 from __future__ import annotations
 
@@ -27,15 +28,33 @@ TREE = "tree"
 UNICYCLIC = "unicyclic"
 COMPLEX = "complex"
 
+# the largest n with (n + 1)**2 <= 2**63, so that every edge key fits in int64
+MAX_VERTICES = 3_037_000_498
+
 
 class GraphError(Exception):
     """A graph value violates one of its invariants."""
 
 
+def _edge_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sorted keys u * (n + 1) + v of the edges (u[i], v[i]), u <= v."""
+    key = u * np.int64(n + 1) + v
+    key.sort()
+    return key
+
+
+def _has_loop(u: np.ndarray, v: np.ndarray) -> bool:
+    return bool((u == v).any())
+
+
+def _has_repeat(key: np.ndarray) -> bool:
+    return bool((key[1:] == key[:-1]).any())
+
+
 def _canonical_edges(n: int, edges, *, allow_loops: bool, allow_multi: bool) -> np.ndarray:
-    """Validate endpoints and return edges as a lexsorted (m, 2) array."""
+    """Validate endpoints and return edges as an (m, 2) array in key order."""
     if isinstance(edges, np.ndarray):
-        arr = edges.astype(np.int64, copy=True)
+        arr = edges.astype(np.int64, order="C", copy=True)
     else:
         arr = np.array([(int(u), int(v)) for u, v in edges], dtype=np.int64)
     if arr.size == 0:
@@ -47,28 +66,19 @@ def _canonical_edges(n: int, edges, *, allow_loops: bool, allow_multi: bool) -> 
             raise GraphError("edge endpoint outside 1..n")
         u = np.minimum(arr[:, 0], arr[:, 1])
         v = np.maximum(arr[:, 0], arr[:, 1])
-        if not allow_loops and (u == v).any():
+        if not allow_loops and _has_loop(u, v):
             raise GraphError("self-loop not allowed in a simple graph")
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        if not allow_multi and len(u) > 1:
-            dup = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
-            if dup.any():
-                raise GraphError("duplicate edge not allowed in a simple graph")
-        arr = np.column_stack((u, v))
+        key = _edge_keys(n, u, v)
+        if not allow_multi and _has_repeat(key):
+            raise GraphError("duplicate edge not allowed in a simple graph")
+        np.divmod(key, n + 1, out=(arr[:, 0], arr[:, 1]))
     arr.setflags(write=False)
     return arr
 
 
 def _pairing_is_simple(n: int, u: np.ndarray, v: np.ndarray) -> bool:
     """True when the edges (u[i], v[i]), u <= v, hold no loop and no repeat."""
-    if u.size == 0:
-        return True
-    if (u == v).any():
-        return False
-    key = u * np.int64(n + 1) + v
-    key.sort()
-    return not (key[1:] == key[:-1]).any()
+    return not (_has_loop(u, v) or _has_repeat(_edge_keys(n, u, v)))
 
 
 class _EdgeListGraph:
@@ -86,6 +96,8 @@ class _EdgeListGraph:
         n = int(n)
         if n < 0:
             raise GraphError("vertex count must be non-negative")
+        if n > MAX_VERTICES:
+            raise GraphError(f"vertex count {n} over the limit {MAX_VERTICES}")
         self.n = n
         self.edges = _canonical_edges(n, edges, allow_loops=self.allow_loops,
                                       allow_multi=self.allow_multi)

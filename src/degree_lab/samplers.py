@@ -25,8 +25,8 @@ import numpy as np
 
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
-from .graphs import (GraphError, GraphSlice, LabeledGraph, MultiGraph,
-                     _complex_components, _largest_component,
+from .graphs import (MAX_VERTICES, GraphError, GraphSlice, LabeledGraph,
+                     MultiGraph, _complex_components, _largest_component,
                      _pairing_is_simple, has_complex_component)
 
 DEFAULT_GNM_CAP = 10_000
@@ -81,6 +81,8 @@ def sample_gnm_counted(n: int, m: int, rng=None, *,
     m = int(m)
     if n < 1:
         raise ValueError("need at least one vertex")
+    if n > MAX_VERTICES:
+        raise ValueError(f"n = {n} exceeds the vertex limit {MAX_VERTICES}")
     if not 0 <= m <= comb(n, 2):
         raise ValueError("edge count out of range for a simple graph")
     rng = np.random.default_rng(rng)
