@@ -10,10 +10,21 @@ import math
 
 import numpy as np
 
+from .graphs import MAX_VERTICES
+
+
+def _bin_count(n) -> int:
+    """n as an int, refused above MAX_VERTICES before any array of size n
+    is made."""
+    n = int(n)
+    if n > MAX_VERTICES:
+        raise ValueError(f"n = {n} exceeds the limit {MAX_VERTICES}")
+    return n
+
 
 def throw_positions(n: int, k: int, rng=None) -> np.ndarray:
     """Landing bins of k balls, one entry per ball, each uniform on 1..n."""
-    n = int(n)
+    n = _bin_count(n)
     k = int(k)
     if n < 1:
         raise ValueError("need at least one bin")
@@ -25,7 +36,7 @@ def throw_positions(n: int, k: int, rng=None) -> np.ndarray:
 
 def loads_from_positions(n: int, positions: np.ndarray) -> np.ndarray:
     """Load vector: entry j is the number of balls that landed in bin j + 1."""
-    n = int(n)
+    n = _bin_count(n)
     positions = np.asarray(positions, dtype=np.int64)
     if positions.size and (positions.min() < 1 or positions.max() > n):
         raise ValueError("ball position outside 1..n")

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import (GraphError, LabeledGraph, _component_labels,
-                     _EdgeListGraph)
+from .graphs import (MAX_VERTICES, GraphError, LabeledGraph,
+                     _component_labels, _EdgeListGraph)
 
 
 class RootedForest(_EdgeListGraph):
@@ -48,9 +48,11 @@ class RootedForest(_EdgeListGraph):
             raise GraphError(f"a forest with {t} trees on {n} vertices "
                              f"has {n - t} edges, got {self.edges.shape[0]}")
         labels = _component_labels(n, self.edges)
-        if len(np.unique(labels)) != t:
+        if (int(labels.max()) + 1 if n else 0) != t:
             raise GraphError("edge set does not form exactly t trees")
-        if t > 0 and len(np.unique(labels[:t])) != t:
+        # labels count trees by smallest member, so the roots 1..t lie in
+        # distinct trees exactly when they carry the labels 0..t-1
+        if not np.array_equal(labels[:t], np.arange(t)):
             raise GraphError("two roots share a tree")
         self.t = t
 
@@ -67,6 +69,8 @@ def _forest_shape(n, t) -> tuple[int, int]:
     t = int(t)
     if n < 0 or not (0 <= t <= n) or (n > 0 and t == 0):
         raise ValueError("invalid forest shape")
+    if n > MAX_VERTICES:
+        raise ValueError(f"n = {n} exceeds the vertex limit {MAX_VERTICES}")
     return n, t
 
 

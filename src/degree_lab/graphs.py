@@ -15,6 +15,11 @@ picked vertices, with their original labels, and the host edges whose
 endpoints are both picked.  Rows taken from a canonical array stay
 canonical, so complex_part, core_of and split cut their slices from the
 input graph, or from a slice of it, without sorting or checking again.
+
+The decomposition kernels are array operations with no sort over the
+vertices: component labels are renumbered by smallest member with a
+mask and a cumulative sum, and the core peel removes a whole frontier of
+degree <= 1 vertices per round (see _peel_to_core).
 """
 from __future__ import annotations
 
@@ -237,12 +242,14 @@ def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     data = np.ones(len(u), dtype=np.int8)
     adj = coo_matrix((data, (u, v)), shape=(n, n))
     ncomp, raw = _cs_components(adj, directed=False)
-    # renumber so that component ids increase with their smallest vertex
-    _, first_pos = np.unique(raw, return_index=True)
-    perm = np.argsort(first_pos, kind="stable")
-    remap = np.empty(ncomp, dtype=np.int64)
-    remap[perm] = np.arange(ncomp)
-    return remap[raw]
+    # renumber so that component ids increase with their smallest vertex:
+    # rank each component's first vertex among all first vertices
+    first = np.full(ncomp, n, dtype=np.int64)
+    np.minimum.at(first, raw, np.arange(n))
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    rank = np.cumsum(is_first) - 1
+    return rank[first][raw]
 
 
 def _component_stats(n: int, edges: np.ndarray):
@@ -311,34 +318,41 @@ def complex_part(g: LabeledGraph) -> GraphSlice:
 
 
 def _peel_to_core(part: GraphSlice) -> GraphSlice:
-    """Worklist peel of degree <= 1 vertices; O(order + size)."""
+    """Peel vertices of degree <= 1, one frontier per round; O(order + size).
+
+    The frontier is the set of live vertices of degree <= 1, and each
+    round removes all of it with a few array operations, so the number
+    of rounds is the depth of the deepest hanging tree (a pendant path
+    of length L takes L rounds).  xor[v] is the XOR of the live
+    neighbours of v, so a vertex of degree one finds its neighbour as
+    xor[v]; ufunc.at applies the updates of several leaves that share a
+    neighbour.  Two adjacent frontier vertices die in the same round and
+    only update each other.
+    """
     if part.size == 0:
         return GraphSlice(part, np.zeros(0, dtype=bool))
     hi = int(part.vertices[-1])
-    # flat adjacency in CSR form over labels 0..hi
-    src = np.concatenate((part.edges[:, 0], part.edges[:, 1]))
-    dst = np.concatenate((part.edges[:, 1], part.edges[:, 0]))
-    order = np.argsort(src, kind="stable")
-    neighbors = dst[order].tolist()
-    deg = np.bincount(src, minlength=hi + 1)
-    indptr = [0] + np.cumsum(deg).tolist()
-    degl = deg.tolist()
+    deg = np.bincount(part.edges.ravel(), minlength=hi + 1)
+    xor = np.zeros(hi + 1, dtype=np.int64)
+    np.bitwise_xor.at(xor, part.edges, part.edges[:, ::-1])
     alive = np.zeros(hi + 1, dtype=bool)
     alive[part.vertices] = True
-    alive_l = alive.tolist()
+    slot = np.zeros(hi + 1, dtype=np.int64)
 
-    stack = [v for v in part.vertices.tolist() if degl[v] <= 1]
-    while stack:
-        y = stack.pop()
-        if not alive_l[y] or degl[y] >= 2:
-            continue
-        alive_l[y] = False
-        for w in neighbors[indptr[y]:indptr[y + 1]]:
-            if alive_l[w]:
-                degl[w] -= 1
-                if degl[w] == 1:
-                    stack.append(w)
-    return GraphSlice(part, alive_l[1:])
+    frontier = part.vertices[deg[part.vertices] <= 1]
+    while frontier.size:
+        alive[frontier] = False
+        leaves = frontier[deg[frontier] == 1]
+        nbrs = xor[leaves]
+        np.subtract.at(deg, nbrs, 1)
+        np.bitwise_xor.at(xor, nbrs, leaves)
+        nbrs = nbrs[alive[nbrs] & (deg[nbrs] <= 1)]
+        # drop repeats without a sort: a repeated vertex's slot keeps one
+        # of the positions written to it, and only that one reads back
+        pos = np.arange(nbrs.size)
+        slot[nbrs] = pos
+        frontier = nbrs[slot[nbrs] == pos]
+    return GraphSlice(part, alive[1:])
 
 
 def core_of(g: LabeledGraph) -> GraphSlice:
