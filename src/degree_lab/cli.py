@@ -23,14 +23,13 @@ Every subcommand accepts --format json|csv, --out PATH and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .edgelist import read_edge_list
-from .experiments import (KIND_SPECS, ExperimentConfig, emit_report,
-                          run_experiment)
-from .graphs import GraphError, LabeledGraph, split
+from .edgelist import _read_simple_graph
+from .experiments import (KIND_SPECS, ExperimentConfig, _json_bytes,
+                          emit_report, run_experiment)
+from .graphs import GraphError, split
 from .samplers import SamplingCapExceeded
 
 
@@ -67,9 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _decompose_payload(path: str) -> bytes:
-    g = read_edge_list(path)
-    if not isinstance(g, LabeledGraph):
-        raise GraphError(f"{path}: decompose expects a simple-graph header")
+    g = _read_simple_graph(path)
     parts = split(g)
 
     def part_doc(s):
@@ -86,7 +83,7 @@ def _decompose_payload(path: str) -> bytes:
         },
         "coreLargestComponent": [int(v) for v in parts.core_largest_component],
     }
-    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
+    return _json_bytes(doc)
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -120,8 +117,10 @@ def main(argv=None) -> int:
         report = run_experiment(cfg)
         _write(emit_report(report, args.format), args.out)
         return 0 if report.passed else 1
-    except (ValueError, GraphError, SamplingCapExceeded, OSError) as exc:
-        print(f"degree-lab: error: {exc}", file=sys.stderr)
+    except (ValueError, GraphError, SamplingCapExceeded, OSError,
+            MemoryError) as exc:
+        print(f"degree-lab: error: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return 2
 
 

@@ -12,7 +12,6 @@ order; writers emit u < v (loops excepted) and sorted lines.
 """
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 from .forests import RootedForest
@@ -58,11 +57,17 @@ def read_edge_list(source) -> LabeledGraph | MultiGraph | RootedForest:
     """Parse an edge-list file; the header decides the returned type."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
-    elif isinstance(source, io.TextIOBase):
-        text = source.read()
     else:
         text = str(source.read())
     return _parse(text)
+
+
+def _read_simple_graph(path: str) -> LabeledGraph:
+    """read_edge_list for a file that must hold a simple graph."""
+    g = read_edge_list(path)
+    if not isinstance(g, LabeledGraph):
+        raise GraphError(f"{path}: expected a simple-graph header")
+    return g
 
 
 def format_edge_list(obj) -> str:

@@ -26,9 +26,9 @@ import numpy as np
 from .bins import max_load, throw_balls
 from .concentration import (classify_regime, predicted_interval,
                             two_point_prediction, typical_max_load)
-from .edgelist import read_edge_list
+from .edgelist import _read_simple_graph
 from .forests import sample_forest_degrees
-from .graphs import GraphError, LabeledGraph, core_of, split
+from .graphs import LabeledGraph, core_of, split
 from .samplers import (PipelineSpec, SamplingCapExceeded, exact_census_gnm,
                        sample_complex, sample_cs_counted, sample_gnm_counted,
                        sample_pipeline)
@@ -145,18 +145,12 @@ def _int_if_whole(x: float) -> float | int:
     return int(x) if float(x).is_integer() else x
 
 
-def _read_core(path: str) -> LabeledGraph:
-    core = read_edge_list(path)
-    if not isinstance(core, LabeledGraph):
-        raise GraphError(f"{path}: core file must use the simple-graph header")
-    return core
-
-
 def _window(n: float, k: float | None, eps: float, shift: int = 0):
-    """Load window of k balls in n bins and its anchor, moved up by shift."""
+    """Load window of k balls in n bins and its anchor, moved up by shift,
+    and the typical load they come from."""
     lo, hi = predicted_interval(n, k, eps)
-    anchor = math.floor(typical_max_load(n, k) - 1.0 / 3.0)
-    return (lo + shift, hi + shift), anchor + shift
+    load = typical_max_load(n, k)
+    return (lo + shift, hi + shift), math.floor(load - 1.0 / 3.0) + shift, load
 
 
 def _capped(interval: tuple[int, int], anchor: int, top: int):
@@ -167,11 +161,10 @@ def _capped(interval: tuple[int, int], anchor: int, top: int):
 
 def _nu_report(cfg: ExperimentConfig, threshold: float) -> ConcentrationReport:
     k = cfg.k if cfg.k is not None else cfg.n
-    load = typical_max_load(cfg.n, k)
+    interval, anchor, load = _window(cfg.n, k, cfg.epsilon)
     return ConcentrationReport(
         kind=cfg.kind, params={"n": cfg.n, "k": k, "eps": cfg.epsilon},
-        interval=predicted_interval(cfg.n, k, cfg.epsilon),
-        anchor=math.floor(load - 1.0 / 3.0), histogram={}, hit_fraction=None,
+        interval=interval, anchor=anchor, histogram={}, hit_fraction=None,
         verdict="pass", master_seed=cfg.master_seed, trial_seeds=[],
         elapsed_ms=0.0, extras={"typicalLoad": load})
 
@@ -198,7 +191,7 @@ def _census_report(cfg: ExperimentConfig,
 
 def _bins_window(cfg):
     return Window({"n": cfg.n, "k": cfg.k},
-                  *_window(cfg.n, cfg.k, cfg.epsilon))
+                  *_window(cfg.n, cfg.k, cfg.epsilon)[:2])
 
 
 def _bins_trial(cfg, seed):
@@ -207,7 +200,7 @@ def _bins_trial(cfg, seed):
 
 def _forest_window(cfg):
     return Window({"n": cfg.n, "t": cfg.t},
-                  *_capped(*_window(cfg.n, None, cfg.epsilon, shift=1),
+                  *_capped(*_window(cfg.n, None, cfg.epsilon, shift=1)[:2],
                            cfg.n - 1))
 
 
@@ -219,7 +212,8 @@ def _forest_trial(cfg, seed):
 
 def _gnm_window(cfg):
     return Window({"n": cfg.n, "m": cfg.m},
-                  *_capped(*_window(cfg.n, 2 * cfg.m, cfg.epsilon), cfg.n - 1))
+                  *_capped(*_window(cfg.n, 2 * cfg.m, cfg.epsilon)[:2],
+                           cfg.n - 1))
 
 
 def _gnm_trial(cfg, seed):
@@ -229,7 +223,7 @@ def _gnm_trial(cfg, seed):
 
 def _cs_window(cfg):
     return Window({"n": cfg.n, "m": cfg.m},
-                  *_capped(*_window(cfg.n, None, cfg.epsilon), cfg.n - 1))
+                  *_capped(*_window(cfg.n, None, cfg.epsilon)[:2], cfg.n - 1))
 
 
 def _cs_trial(cfg, seed):
@@ -240,7 +234,7 @@ def _cs_trial(cfg, seed):
 def _complex_window(cfg):
     return Window({"coreOrder": cfg.core.n, "coreSize": cfg.core.num_edges,
                    "q": cfg.q},
-                  *_capped(*_window(cfg.q, None, cfg.epsilon, shift=1),
+                  *_capped(*_window(cfg.q, None, cfg.epsilon, shift=1)[:2],
                            cfg.q - 1))
 
 
@@ -290,7 +284,7 @@ _TRIALS = (Flag("--trials", "trials", help="number of trials (default 100)",
 _EPS = Flag("--eps", "epsilon", float,
             help="interval half-width (default 0.25)", required=False)
 _CORE = Flag("--core", "core", str, help="edge-list file holding the core",
-             load=_read_core, metavar="FILE")
+             load=_read_simple_graph, metavar="FILE")
 
 KIND_SPECS: dict[str, KindSpec] = {
     "nu": KindSpec(
@@ -358,8 +352,8 @@ def _checked_spec(cfg: ExperimentConfig) -> KindSpec:
         elif flag.low is not None and value < flag.low:
             raise ValueError(f"kind={cfg.kind!r} needs {flag.field} >= "
                              f"{flag.low}, got {value}")
-    if cfg.threshold is not None and not math.isfinite(cfg.threshold):
-        raise ValueError(f"threshold must be finite, got {cfg.threshold}")
+    if cfg.threshold is not None and not 0.0 <= cfg.threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {cfg.threshold}")
     return spec
 
 
@@ -426,6 +420,11 @@ def run_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     return report
 
 
+def _json_bytes(doc: dict) -> bytes:
+    """A report document as written: indented strict JSON and a newline."""
+    return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
+
+
 def emit_report(report: ConcentrationReport, fmt: str = "json", *,
                 include_elapsed: bool = True) -> bytes:
     """Serialize a report.  JSON carries the full report; CSV carries
@@ -447,8 +446,7 @@ def emit_report(report: ConcentrationReport, fmt: str = "json", *,
             doc["elapsedMs"] = round(report.elapsed_ms, 3)
         if report.extras:
             doc["extras"] = report.extras
-        return (json.dumps(doc, indent=2, allow_nan=False)
-                + "\n").encode()
+        return _json_bytes(doc)
     if fmt == "csv":
         if not report.trial_stats:
             raise ValueError(f"kind={report.kind!r} has no per-trial rows; "

@@ -68,7 +68,7 @@ def _forest_shape(n, t) -> tuple[int, int]:
     n = int(n)
     t = int(t)
     if n < 0 or not (0 <= t <= n) or (n > 0 and t == 0):
-        raise ValueError("invalid forest shape")
+        raise ValueError(f"invalid forest shape: n = {n}, t = {t}")
     if n > MAX_VERTICES:
         raise ValueError(f"n = {n} exceeds the vertex limit {MAX_VERTICES}")
     return n, t

@@ -7,14 +7,16 @@ The complex part of a graph is the union of its complex components.  The
 core is the maximal subgraph of the complex part with minimum degree at
 least two, obtained by repeatedly peeling vertices of degree <= 1.
 
-Every graph stores its edges as a canonical array: rows (u, v) with
-u <= v, read-only, sorted by the key u * (n + 1) + v (by u, then by
-v); n is at most MAX_VERTICES, so that the keys fit in int64.  A
-GraphSlice is the subgraph of a host picked by a vertex mask: the
-picked vertices, with their original labels, and the host edges whose
-endpoints are both picked.  Rows taken from a canonical array stay
-canonical, so complex_part, core_of and split cut their slices from the
-input graph, or from a slice of it, without sorting or checking again.
+Edge endpoints must be integers: floats, strings and bools are refused
+with GraphError, never truncated.  Every graph stores its edges as a
+canonical array: rows (u, v) with u <= v, read-only, sorted by the key
+u * (n + 1) + v (by u, then by v); n is at most MAX_VERTICES, so that
+the keys fit in int64.  A GraphSlice is the subgraph of a host picked
+by a vertex mask: the picked vertices, with their original labels, and
+the host edges whose endpoints are both picked.  Rows taken from a
+canonical array stay canonical, so complex_part, core_of and split cut
+their slices from the input graph, or from a slice of it, without
+sorting or checking again.
 
 The decomposition kernels are array operations with no sort over the
 vertices: component labels are renumbered by smallest member with a
@@ -58,10 +60,10 @@ def _has_repeat(key: np.ndarray) -> bool:
 
 def _canonical_edges(n: int, edges, *, allow_loops: bool, allow_multi: bool) -> np.ndarray:
     """Validate endpoints and return edges as an (m, 2) array in key order."""
-    if isinstance(edges, np.ndarray):
-        arr = edges.astype(np.int64, order="C", copy=True)
-    else:
-        arr = np.array([(int(u), int(v)) for u, v in edges], dtype=np.int64)
+    arr = np.asarray(edges)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise GraphError(f"edge endpoints must be integers, got {arr.dtype}")
+    arr = arr.astype(np.int64, order="C", copy=True)
     if arr.size == 0:
         arr = np.empty((0, 2), dtype=np.int64)
     elif arr.ndim != 2 or arr.shape[1] != 2:
@@ -116,9 +118,7 @@ class _EdgeListGraph:
         return np.bincount(self.edges.ravel(), minlength=self.n + 1)[1:]
 
     def max_degree(self) -> int:
-        if self.num_edges == 0:
-            return 0
-        return int(self.degree_sequence().max())
+        return int(self.degree_sequence().max(initial=0))
 
     def edge_set(self) -> set[tuple[int, int]]:
         return {(int(u), int(v)) for u, v in self.edges}
@@ -150,7 +150,7 @@ class MultiGraph(_EdgeListGraph):
         return _pairing_is_simple(self.n, self.edges[:, 0], self.edges[:, 1])
 
 
-class GraphSlice:
+class GraphSlice(_EdgeListGraph):
     """The subgraph of a host graph picked by a vertex mask.
 
     host is any graph with a canonical .edges array (LabeledGraph,
@@ -175,9 +175,7 @@ class GraphSlice:
     def order(self) -> int:
         return int(self.vertices.size)
 
-    @property
-    def size(self) -> int:
-        return int(self.edges.shape[0])
+    size = _EdgeListGraph.num_edges
 
     @property
     def is_empty(self) -> bool:
@@ -186,21 +184,10 @@ class GraphSlice:
     def vertex_set(self) -> set[int]:
         return set(int(v) for v in self.vertices)
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edges}
-
     def degree_sequence(self) -> np.ndarray:
         """Degrees within the slice, aligned with .vertices."""
-        if self.order == 0:
-            return np.zeros(0, dtype=np.int64)
-        hi = int(self.vertices.max())
-        counts = np.bincount(self.edges.ravel(), minlength=hi + 1)
-        return counts[self.vertices]
-
-    def max_degree(self) -> int:
-        if self.size == 0:
-            return 0
-        return int(self.degree_sequence().max())
+        hi = int(self.vertices.max(initial=0))
+        return np.bincount(self.edges.ravel(), minlength=hi + 1)[self.vertices]
 
     def __eq__(self, other) -> bool:
         return (

@@ -25,8 +25,8 @@ import numpy as np
 
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
-from .graphs import (MAX_VERTICES, GraphError, GraphSlice, LabeledGraph,
-                     MultiGraph, _complex_components, _largest_component,
+from .graphs import (GraphError, GraphSlice, LabeledGraph, MultiGraph,
+                     _complex_components, _largest_component,
                      _pairing_is_simple, has_complex_component)
 
 DEFAULT_GNM_CAP = 10_000
@@ -81,10 +81,8 @@ def sample_gnm_counted(n: int, m: int, rng=None, *,
     m = int(m)
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n > MAX_VERTICES:
-        raise ValueError(f"n = {n} exceeds the vertex limit {MAX_VERTICES}")
     if not 0 <= m <= comb(n, 2):
-        raise ValueError("edge count out of range for a simple graph")
+        raise ValueError(f"no simple graph on n = {n} vertices has m = {m} edges")
     rng = np.random.default_rng(rng)
     for attempt in range(1, max_attempts + 1):
         u, v = _draw_pairing(n, m, rng)
@@ -113,7 +111,8 @@ def sample_cs_counted(n: int, m: int, rng=None, *,
     n = int(n)
     m = int(m)
     if m > n:
-        raise ValueError("a complex-free graph has at most n edges")
+        raise ValueError(f"a complex-free graph has at most n = {n} edges, "
+                         f"got m = {m}")
     rng = np.random.default_rng(rng)
     for attempt in range(1, max_attempts + 1):
         try:
@@ -193,16 +192,13 @@ def sample_complex_degrees(core: LabeledGraph, q: int, rng=None) -> np.ndarray:
     return deg
 
 
-def _relabel_to_prefix(part: GraphSlice) -> LabeledGraph:
-    """Order-preserving relabeling of a slice onto {1..order}."""
-    new = np.searchsorted(part.vertices, part.edges) + 1
-    return LabeledGraph(part.order, new)
-
-
-def _core_components(core: LabeledGraph) -> tuple[GraphSlice, GraphSlice]:
-    """The largest component of a core, as split picks it, and the rest."""
+def _core_blocks(core: LabeledGraph) -> tuple[LabeledGraph, LabeledGraph]:
+    """The largest component of a core, as split picks it, and the rest,
+    each relabeled onto {1..order} in increasing label order."""
     vmask = _largest_component(core.n, core.edges)
-    return GraphSlice(core, vmask), GraphSlice(core, ~vmask)
+    parts = GraphSlice(core, vmask), GraphSlice(core, ~vmask)
+    return tuple(LabeledGraph(p.order, np.searchsorted(p.vertices, p.edges) + 1)
+                 for p in parts)
 
 
 @dataclass(frozen=True)
@@ -213,7 +209,8 @@ class PipelineSpec:
     core's largest component; the small complex part gets small_order
     vertices and hosts the remaining core components; the complex-free
     remainder gets the other spare_order vertices and spare_edges edges,
-    chosen so that the whole graph has exactly m edges.
+    chosen so that the whole graph has exactly m edges.  The two core
+    blocks are relabeled onto their label blocks once, here.
     """
 
     core: LabeledGraph
@@ -225,14 +222,14 @@ class PipelineSpec:
 
     def __post_init__(self):
         validate_core_graph(self.core)
-        large, rest = _core_components(self.core)
-        if self.large_order < large.order:
+        large, rest = _core_blocks(self.core)
+        if self.large_order < large.n:
             raise ValueError("large_order smaller than the largest core component")
-        if self.small_order < rest.order:
+        if self.small_order < rest.n:
             raise ValueError("small_order smaller than the rest of the core")
-        if (self.large_order > 0) != (large.order > 0):
+        if (self.large_order > 0) != (large.n > 0):
             raise ValueError("large_order must be zero iff the core is empty")
-        if (self.small_order > 0) != (rest.order > 0):
+        if (self.small_order > 0) != (rest.n > 0):
             raise ValueError("small_order must be zero iff the core has one component")
         if self.spare_order < 0:
             raise ValueError("part orders exceed n")
@@ -269,11 +266,9 @@ def sample_pipeline(spec: PipelineSpec, rng=None, *,
     r = spec.small_order
     blocks = []
     if l:
-        core_l = _relabel_to_prefix(large)
-        blocks.append(sample_complex(core_l, l, rng).edges)
+        blocks.append(sample_complex(large, l, rng).edges)
     if r:
-        core_r = _relabel_to_prefix(rest)
-        blocks.append(sample_complex(core_r, r, rng).edges + l)
+        blocks.append(sample_complex(rest, r, rng).edges + l)
     if spec.spare_order:
         spare = sample_cs(spec.spare_order, spec.spare_edges, rng)
         blocks.append(spare.edges + (l + r))

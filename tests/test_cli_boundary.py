@@ -15,6 +15,12 @@ from degree_lab.cli import main
     (["gnm", "--n", "1", "--m", "0"], "m"),
     (["bins", "--n", "10", "--k", "0"], "k"),
     (["forest", "--n", "10", "--t", "2", "--trials", "0"], "trials"),
+    (["bins", "--n", "10", "--k", "10", "--threshold", "2"], "threshold"),
+    (["bins", "--n", "10", "--k", "10", "--threshold", "-0.5"], "threshold"),
+    (["census", "--n", "4", "--m", "3", "--threshold", "5"], "threshold"),
+    (["forest", "--n", "5", "--t", "6"], "t"),
+    (["gnm", "--n", "3", "--m", "4"], "m"),
+    (["cs", "--n", "10", "--m", "11"], "m"),
 ])
 def test_bad_input_is_a_usage_error_naming_it(argv, name, capsys):
     code = main(argv)
