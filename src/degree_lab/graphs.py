@@ -44,18 +44,19 @@ class GraphError(Exception):
 
 
 def _edge_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sorted keys u * (n + 1) + v of the edges (u[i], v[i]), u <= v."""
+    """Keys u * (n + 1) + v of the edges (u[..., i], v[..., i]), u <= v,
+    sorted along the last axis."""
     key = u * np.int64(n + 1) + v
     key.sort()
     return key
 
 
-def _has_loop(u: np.ndarray, v: np.ndarray) -> bool:
-    return bool((u == v).any())
+def _has_loop(u: np.ndarray, v: np.ndarray):
+    return (u == v).any(axis=-1)
 
 
-def _has_repeat(key: np.ndarray) -> bool:
-    return bool((key[1:] == key[:-1]).any())
+def _has_repeat(key: np.ndarray):
+    return (key[..., 1:] == key[..., :-1]).any(axis=-1)
 
 
 def _canonical_edges(n: int, edges, *, allow_loops: bool, allow_multi: bool) -> np.ndarray:
@@ -83,9 +84,14 @@ def _canonical_edges(n: int, edges, *, allow_loops: bool, allow_multi: bool) -> 
     return arr
 
 
-def _pairing_is_simple(n: int, u: np.ndarray, v: np.ndarray) -> bool:
-    """True when the edges (u[i], v[i]), u <= v, hold no loop and no repeat."""
-    return not (_has_loop(u, v) or _has_repeat(_edge_keys(n, u, v)))
+def _pairing_is_simple(n: int, u: np.ndarray, v: np.ndarray):
+    """True when the edges (u[..., i], v[..., i]), u <= v, hold no loop and
+    no repeat; one answer per row of a block of pairings.  The keys are
+    sorted only when some row has no loop."""
+    simple = ~_has_loop(u, v)
+    if simple.any():
+        simple &= ~_has_repeat(_edge_keys(n, u, v))
+    return simple
 
 
 class _EdgeListGraph:
@@ -147,7 +153,8 @@ class MultiGraph(_EdgeListGraph):
     allow_loops = allow_multi = True
 
     def is_simple(self) -> bool:
-        return _pairing_is_simple(self.n, self.edges[:, 0], self.edges[:, 1])
+        return bool(_pairing_is_simple(self.n, self.edges[:, 0],
+                                       self.edges[:, 1]))
 
 
 class GraphSlice(_EdgeListGraph):

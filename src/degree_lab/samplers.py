@@ -26,12 +26,14 @@ import numpy as np
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
 from .graphs import (GraphError, GraphSlice, LabeledGraph, MultiGraph,
-                     _complex_components, _largest_component,
+                     _complex_components, _edge_keys, _largest_component,
                      _pairing_is_simple, has_complex_component)
 
 DEFAULT_GNM_CAP = 10_000
 DEFAULT_CS_CAP = 100_000
 ENUMERATION_CAP = 10_000
+# balls per pairing draw of exact_census_gnm; bounds the memory of a block
+_BLOCK_BALLS = 1 << 14
 
 
 class SamplingCapExceeded(RuntimeError):
@@ -42,12 +44,30 @@ class SamplingCapExceeded(RuntimeError):
         self.attempts = attempts
 
 
-def _draw_pairing(n: int, m: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One pairing draw: m edges as (lo, hi) endpoint arrays."""
-    positions = throw_positions(n, 2 * m, rng)
-    a = positions[0::2]
-    b = positions[1::2]
+def _draw_pairing(n: int, m: int, rows: int,
+                  rng) -> tuple[np.ndarray, np.ndarray]:
+    """`rows` pairing draws from one throw of 2m * rows balls, as (lo, hi)
+    endpoint arrays of shape (rows, m): row r takes the r-th run of 2m
+    consecutive balls, and its edge i joins balls 2i - 1 and 2i of the run."""
+    ends = throw_positions(n, 2 * m * rows, rng).reshape(rows, m, 2)
+    a, b = ends[..., 0], ends[..., 1]
     return np.minimum(a, b), np.maximum(a, b)
+
+
+def _gnm_size(n, m) -> tuple[int, int]:
+    """n and m as ints, checked as the order and size of a simple graph."""
+    n = int(n)
+    m = int(m)
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    if not 0 <= m <= comb(n, 2):
+        raise ValueError(f"no simple graph on n = {n} vertices has m = {m} edges")
+    return n, m
+
+
+def _gnm_cap_exceeded(n: int, m: int, cap: int) -> SamplingCapExceeded:
+    return SamplingCapExceeded(
+        f"no simple pairing in {cap} attempts at n={n}, m={m}", cap)
 
 
 def sample_multigraph(n: int, m: int, rng=None) -> MultiGraph:
@@ -64,8 +84,8 @@ def sample_multigraph(n: int, m: int, rng=None) -> MultiGraph:
     if m < 0:
         raise ValueError("edge count must be non-negative")
     rng = np.random.default_rng(rng)
-    u, v = _draw_pairing(n, m, rng)
-    return MultiGraph(n, np.column_stack((u, v)))
+    u, v = _draw_pairing(n, m, 1, rng)
+    return MultiGraph(n, np.column_stack((u[0], v[0])))
 
 
 def sample_gnm_counted(n: int, m: int, rng=None, *,
@@ -77,20 +97,13 @@ def sample_gnm_counted(n: int, m: int, rng=None, *,
     simplicity the pairing model is uniform, so the output is exactly
     uniform over simple graphs on {1..n} with m edges.
     """
-    n = int(n)
-    m = int(m)
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if not 0 <= m <= comb(n, 2):
-        raise ValueError(f"no simple graph on n = {n} vertices has m = {m} edges")
+    n, m = _gnm_size(n, m)
     rng = np.random.default_rng(rng)
     for attempt in range(1, max_attempts + 1):
-        u, v = _draw_pairing(n, m, rng)
-        if _pairing_is_simple(n, u, v):
-            return LabeledGraph(n, np.column_stack((u, v))), attempt
-    raise SamplingCapExceeded(
-        f"no simple pairing in {max_attempts} attempts at n={n}, m={m}",
-        max_attempts)
+        u, v = _draw_pairing(n, m, 1, rng)
+        if _pairing_is_simple(n, u, v)[0]:
+            return LabeledGraph(n, np.column_stack((u[0], v[0]))), attempt
+    raise _gnm_cap_exceeded(n, m, max_attempts)
 
 
 def sample_gnm(n: int, m: int, rng=None, *,
@@ -293,13 +306,19 @@ class UniformityReport:
 
 
 def enumerate_gnm(n: int, m: int) -> list[LabeledGraph]:
-    """All simple graphs on {1..n} with m edges, in lexicographic order."""
+    """All simple graphs on {1..n} with m edges, in lexicographic order.
+
+    The class is counted before any pair is listed, so a class over
+    ENUMERATION_CAP is refused at once, whatever n is.
+    """
     n = int(n)
     m = int(m)
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    total = comb(len(pairs), m)
+    total = comb(comb(n, 2), m)
     if total > ENUMERATION_CAP:
         raise ValueError(f"{total} graphs is too many to enumerate")
+    if m == 0:  # combinations() would first list all comb(n, 2) pairs
+        return [LabeledGraph(n)]
+    pairs = itertools.combinations(range(1, n + 1), 2)
     return [LabeledGraph(n, subset)
             for subset in itertools.combinations(pairs, m)]
 
@@ -308,23 +327,53 @@ def exact_census_gnm(n: int, m: int, trials: int,
                      rng=None) -> UniformityReport:
     """Compare sample_gnm against brute-force enumeration.
 
-    Draws `trials` samples, counts how often each enumerated graph
-    appears, and reports the total-variation distance to uniform plus a
-    chi-square statistic.  With trials = 0 the report carries the
-    degenerate distance 1 - 1/graph_count and flags itself; the flag
-    also trips whenever trials < graph_count.
+    Draws `trials` samples and counts how often each enumerated graph
+    appears, then reports the total-variation distance to uniform plus a
+    chi-square statistic.  The samples come from sample_gnm's own
+    pairing draw and simplicity rule, run row by row over blocks of
+    pairings: a block holds at most as many rows as samples are still
+    missing, and the simple rows are taken in stream order.  numpy's
+    bounded-integer stream does not depend on how the throws are split
+    into calls, so the i-th simple row is the graph of the i-th
+    sample_gnm call on the same generator, and SamplingCapExceeded comes
+    where that loop raises it: at DEFAULT_GNM_CAP non-simple rows in a
+    row.  With trials = 0 the report carries the degenerate distance
+    1 - 1/graph_count and flags itself; the flag also trips whenever
+    trials < graph_count.
     """
-    graphs = enumerate_gnm(n, m)
-    total = len(graphs)
-    index = {g.edges.tobytes(): i for i, g in enumerate(graphs)}
+    n, m = _gnm_size(n, m)
     trials = int(trials)
     if trials < 0:
         raise ValueError("trials must be non-negative")
+    graphs = enumerate_gnm(n, m)
+    total = len(graphs)
+    edges = np.stack([g.edges for g in graphs])
+    known = _edge_keys(n, edges[..., 0], edges[..., 1])
     rng = np.random.default_rng(rng)
-    counts = [0] * total
-    for _ in range(trials):
-        g, _ = sample_gnm_counted(n, m, rng)
-        counts[index[g.edges.tobytes()]] += 1
+    per_draw = max(1, _BLOCK_BALLS // max(2 * m, 1))
+    found = np.empty(trials, dtype=np.int64)  # enumeration index of sample i
+    done = 0
+    run = 0  # non-simple rows since the last simple one
+    while done < trials:
+        rows = min(trials - done, per_draw, DEFAULT_GNM_CAP - run)
+        u, v = _draw_pairing(n, m, rows, rng)
+        simple = np.flatnonzero(_pairing_is_simple(n, u, v))
+        if simple.size == 0:
+            run += rows
+            if run == DEFAULT_GNM_CAP:
+                raise _gnm_cap_exceeded(n, m, DEFAULT_GNM_CAP)
+            continue
+        keys = _edge_keys(n, u[simple], v[simple])
+        # known holds each graph of the class once and comes first, so the
+        # first occurrence of a sample's row is its enumeration index
+        _, first, inverse = np.unique(np.concatenate((known, keys)), axis=0,
+                                      return_index=True, return_inverse=True)
+        found[done:done + simple.size] = first[inverse.ravel()[total:]]
+        done += simple.size
+        run = rows - 1 - int(simple[-1])
+    counts = np.bincount(found, minlength=total).tolist()
+    if len(counts) != total:
+        raise RuntimeError("a sample outside the enumerated class")
     if trials == 0:
         return UniformityReport(total, 0, 1.0 - 1.0 / total, None, True,
                                 tuple(counts))
