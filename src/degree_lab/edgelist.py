@@ -32,10 +32,11 @@ def _parse(text: str):
 
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = ln.split()
+            edges.append((int(u), int(v)))
+        except ValueError as exc:
+            raise GraphError(f"bad edge line {ln!r}") from exc
     if len(edges) != m:
         raise GraphError(f"header says {m} edges, file has {len(edges)}")
 

@@ -289,9 +289,9 @@ _CORE = Flag("--core", "core", str, help="edge-list file holding the core",
 KIND_SPECS: dict[str, KindSpec] = {
     "nu": KindSpec(
         "typical maximum load and its window",
-        (Flag("--n", "n", float, load=_int_if_whole),
+        (Flag("--n", "n", float, load=_int_if_whole, low=1),
          Flag("--k", "k", float, help="ball count (defaults to n)",
-              required=False),
+              required=False, low=1),
          _EPS),
         report=_nu_report),
     "bins": KindSpec(

@@ -32,7 +32,7 @@ from .graphs import (GraphError, GraphSlice, LabeledGraph, MultiGraph,
 DEFAULT_GNM_CAP = 10_000
 DEFAULT_CS_CAP = 100_000
 ENUMERATION_CAP = 10_000
-# balls per pairing draw of exact_census_gnm; bounds the memory of a block
+# balls per pairing draw of _simple_pairings; bounds the memory of a block
 _BLOCK_BALLS = 1 << 14
 
 
@@ -65,9 +65,27 @@ def _gnm_size(n, m) -> tuple[int, int]:
     return n, m
 
 
-def _gnm_cap_exceeded(n: int, m: int, cap: int) -> SamplingCapExceeded:
-    return SamplingCapExceeded(
-        f"no simple pairing in {cap} attempts at n={n}, m={m}", cap)
+def _simple_pairings(n: int, m: int, wanted: int, rng, cap: int):
+    """Yield the first `wanted` simple pairings on rng's stream as blocks
+    of (lo, hi) rows, each with the number of rows drawn so far.  numpy's
+    bounded-integer stream does not depend on how throws are split into
+    calls, so these are the rows a loop drawing one pairing at a time
+    accepts, and SamplingCapExceeded comes where it does: at the cap-th
+    non-simple row in a row, or before any draw if cap <= 0."""
+    per_draw = max(1, _BLOCK_BALLS // max(2 * m, 1))
+    drawn = last = 0  # rows drawn, and the number of the last simple one
+    while wanted > 0:
+        if drawn - last >= cap:
+            raise SamplingCapExceeded(
+                f"no simple pairing in {cap} attempts at n={n}, m={m}", cap)
+        rows = min(wanted, per_draw, cap - (drawn - last))
+        u, v = _draw_pairing(n, m, rows, rng)
+        simple, = _pairing_is_simple(n, u, v).nonzero()
+        drawn += rows
+        if simple.size:
+            last = drawn - rows + 1 + int(simple[-1])
+            wanted -= simple.size
+            yield u[simple], v[simple], drawn
 
 
 def sample_multigraph(n: int, m: int, rng=None) -> MultiGraph:
@@ -99,11 +117,8 @@ def sample_gnm_counted(n: int, m: int, rng=None, *,
     """
     n, m = _gnm_size(n, m)
     rng = np.random.default_rng(rng)
-    for attempt in range(1, max_attempts + 1):
-        u, v = _draw_pairing(n, m, 1, rng)
-        if _pairing_is_simple(n, u, v)[0]:
-            return LabeledGraph(n, np.column_stack((u[0], v[0]))), attempt
-    raise _gnm_cap_exceeded(n, m, max_attempts)
+    u, v, attempts = next(_simple_pairings(n, m, 1, rng, max_attempts))
+    return LabeledGraph(n, np.column_stack((u[0], v[0]))), attempts
 
 
 def sample_gnm(n: int, m: int, rng=None, *,
@@ -330,16 +345,10 @@ def exact_census_gnm(n: int, m: int, trials: int,
     Draws `trials` samples and counts how often each enumerated graph
     appears, then reports the total-variation distance to uniform plus a
     chi-square statistic.  The samples come from sample_gnm's own
-    pairing draw and simplicity rule, run row by row over blocks of
-    pairings: a block holds at most as many rows as samples are still
-    missing, and the simple rows are taken in stream order.  numpy's
-    bounded-integer stream does not depend on how the throws are split
-    into calls, so the i-th simple row is the graph of the i-th
-    sample_gnm call on the same generator, and SamplingCapExceeded comes
-    where that loop raises it: at DEFAULT_GNM_CAP non-simple rows in a
-    row.  With trials = 0 the report carries the degenerate distance
-    1 - 1/graph_count and flags itself; the flag also trips whenever
-    trials < graph_count.
+    rejection loop, so they are the graphs of `trials` sample_gnm calls
+    on the same generator.  With trials = 0 the report carries the
+    degenerate distance 1 - 1/graph_count and flags itself; the flag also
+    trips whenever trials < graph_count.
     """
     n, m = _gnm_size(n, m)
     trials = int(trials)
@@ -350,27 +359,16 @@ def exact_census_gnm(n: int, m: int, trials: int,
     edges = np.stack([g.edges for g in graphs])
     known = _edge_keys(n, edges[..., 0], edges[..., 1])
     rng = np.random.default_rng(rng)
-    per_draw = max(1, _BLOCK_BALLS // max(2 * m, 1))
     found = np.empty(trials, dtype=np.int64)  # enumeration index of sample i
     done = 0
-    run = 0  # non-simple rows since the last simple one
-    while done < trials:
-        rows = min(trials - done, per_draw, DEFAULT_GNM_CAP - run)
-        u, v = _draw_pairing(n, m, rows, rng)
-        simple = np.flatnonzero(_pairing_is_simple(n, u, v))
-        if simple.size == 0:
-            run += rows
-            if run == DEFAULT_GNM_CAP:
-                raise _gnm_cap_exceeded(n, m, DEFAULT_GNM_CAP)
-            continue
-        keys = _edge_keys(n, u[simple], v[simple])
+    for u, v, _ in _simple_pairings(n, m, trials, rng, DEFAULT_GNM_CAP):
+        keys = _edge_keys(n, u, v)
         # known holds each graph of the class once and comes first, so the
         # first occurrence of a sample's row is its enumeration index
         _, first, inverse = np.unique(np.concatenate((known, keys)), axis=0,
                                       return_index=True, return_inverse=True)
-        found[done:done + simple.size] = first[inverse.ravel()[total:]]
-        done += simple.size
-        run = rows - 1 - int(simple[-1])
+        found[done:done + len(keys)] = first[inverse.ravel()[total:]]
+        done += len(keys)
     counts = np.bincount(found, minlength=total).tolist()
     if len(counts) != total:
         raise RuntimeError("a sample outside the enumerated class")

@@ -152,6 +152,21 @@ def test_single_pairing_samplers_match_the_reference(n, m):
         assert sample_multigraph(n, m, seed) == reference_multigraph(n, m, seed)
 
 
+@pytest.mark.parametrize("cap", [-1, 0, 1, 7])
+def test_capped_gnm_raises_where_the_reference_does(cap):
+    # K8 is the only simple graph with 28 edges on 8 vertices; no pairing
+    # draw within a small cap is simple
+    got, want = np.random.default_rng(3), np.random.default_rng(3)
+    fresh = got.bit_generator.state
+    with pytest.raises(SamplingCapExceeded) as exc:
+        sample_gnm_counted(8, 28, got, max_attempts=cap)
+    assert exc.value.attempts == cap
+    with pytest.raises(SamplingCapExceeded):
+        reference_gnm_counted(8, 28, want, max_attempts=cap)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert (got.bit_generator.state == fresh) == (cap <= 0)
+
+
 @pytest.mark.parametrize("argv", [
     ["census", "--n", "100000", "--m", "0", "--trials", "1000"],
     ["census", "--n", "4", "--m", "3", "--trials", "1000000"],

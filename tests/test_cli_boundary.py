@@ -21,6 +21,9 @@ from degree_lab.cli import main
     (["forest", "--n", "5", "--t", "6"], "t"),
     (["gnm", "--n", "3", "--m", "4"], "m"),
     (["cs", "--n", "10", "--m", "11"], "m"),
+    (["nu", "--n", "0.5"], "n"),
+    (["nu", "--n", "-5"], "n"),
+    (["nu", "--n", "10", "--k", "0.5"], "k"),
 ])
 def test_bad_input_is_a_usage_error_naming_it(argv, name, capsys):
     code = main(argv)

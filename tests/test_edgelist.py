@@ -50,8 +50,9 @@ class TestRead:
                 read_edge_list(io.StringIO(text))
 
     def test_bad_edge_line(self):
-        with pytest.raises(GraphError):
-            read_edge_list(io.StringIO("3 1\n1 2 3\n"))
+        for line in ("1 2 3", "1", "1 x", "1 2.0"):
+            with pytest.raises(GraphError, match=f"bad edge line '{line}'"):
+                read_edge_list(io.StringIO(f"3 1\n{line}\n"))
 
 
 class TestWrite:
