@@ -117,18 +117,20 @@ class Window(NamedTuple):
     interval: tuple[int, int]
     anchor: int
     extras: dict = {}  # report extras known before the trials
+    trial_args: tuple = ()  # built once, handed to every trial
 
 
 @dataclass(frozen=True)
 class KindSpec:
     """One experiment kind.
 
-    A sampling kind gives `window` and `trial`; trial(cfg, seed) returns
-    the statistic, the named checks it passed or failed, and the number
-    of draws it made (1 unless it rejects).  counts_attempts reports
-    completed trials over draws as acceptanceFraction.  A kind without
-    trials gives `report`, which builds the whole report.  Samplers are
-    called through this module's globals at call time, never stored.
+    A sampling kind gives `window` and `trial`; trial(cfg, seed,
+    *window.trial_args) returns the statistic, the named checks it
+    passed or failed, and the number of draws it made (1 unless it
+    rejects).  counts_attempts reports completed trials over draws as
+    acceptanceFraction.  A kind without trials gives `report`, which
+    builds the whole report.  Samplers are called through this module's
+    globals at call time, never stored.
     """
 
     help: str
@@ -254,14 +256,14 @@ def _pipeline_window(cfg):
               "r": cfg.small_order, "coreOrder": cfg.core.n,
               "coreSize": cfg.core.num_edges,
               "shuffleLabels": cfg.shuffle_labels}
-    return Window(params, *_capped(prediction.as_tuple(), prediction.lower,
-                                   cfg.n - 1),
-                  {"regime": prediction.regime})
-
-
-def _pipeline_trial(cfg, seed):
     spec = PipelineSpec(cfg.core, cfg.large_order, cfg.small_order,
                         cfg.n, cfg.m)
+    return Window(params, *_capped(prediction.as_tuple(), prediction.lower,
+                                   cfg.n - 1),
+                  {"regime": prediction.regime}, (spec,))
+
+
+def _pipeline_trial(cfg, seed, spec):
     g = sample_pipeline(spec, seed, shuffle_labels=cfg.shuffle_labels)
     parts = split(g)
     checks = {
@@ -371,7 +373,7 @@ def _trial_report(cfg: ExperimentConfig, spec: KindSpec,
     attempts = 0
     for seed in seeds:
         try:
-            stat, passed, tries = spec.trial(cfg, seed)
+            stat, passed, tries = spec.trial(cfg, seed, *window.trial_args)
         except SamplingCapExceeded as exc:
             stats.append(None)
             attempts += exc.attempts

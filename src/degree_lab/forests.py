@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import (MAX_VERTICES, GraphError, LabeledGraph,
-                     _component_labels, _EdgeListGraph)
+                     _components, _EdgeListGraph)
 
 
 class RootedForest(_EdgeListGraph):
@@ -47,8 +47,8 @@ class RootedForest(_EdgeListGraph):
         if self.edges.shape[0] != n - t:
             raise GraphError(f"a forest with {t} trees on {n} vertices "
                              f"has {n - t} edges, got {self.edges.shape[0]}")
-        labels = _component_labels(n, self.edges)
-        if (int(labels.max()) + 1 if n else 0) != t:
+        trees, labels = _components(n, self.edges)
+        if trees != t:
             raise GraphError("edge set does not form exactly t trees")
         # labels count trees by smallest member, so the roots 1..t lie in
         # distinct trees exactly when they carry the labels 0..t-1

@@ -19,8 +19,8 @@ their slices from the input graph, or from a slice of it, without
 sorting or checking again.
 
 The decomposition kernels are array operations with no sort over the
-vertices: component labels are renumbered by smallest member with a
-mask and a cumulative sum, and the core peel removes a whole frontier of
+vertices: component labels come from one scipy pass over the canonical
+rows (see _components), and the core peel removes a whole frontier of
 degree <= 1 vertices per round (see _peel_to_core).
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cs_components
 
 TREE = "tree"
@@ -225,35 +225,32 @@ class Decomposition:
     core_largest_component: np.ndarray
 
 
+def _components(n: int, edges: np.ndarray) -> tuple[int, np.ndarray]:
+    """Component count, and the 0-based component label of each vertex.
+
+    edges must be canonical, as every graph and slice stores them: the
+    rows are then the upper triangle of the adjacency matrix in CSR
+    order, and indptr is the running count of u.  scipy's undirected
+    traversal opens a new label at each unlabelled vertex in increasing
+    order, so the labels come numbered by smallest member, as
+    tests/test_component_order.py and test_component_pass.py check.
+    """
+    indptr = np.cumsum(np.bincount(edges[:, 0], minlength=n + 1))
+    adj = csr_matrix((np.ones(edges.shape[0]), edges[:, 1] - 1, indptr),
+                     shape=(n, n))
+    return _cs_components(adj, directed=False)
+
+
 def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     """0-based component label per vertex, numbered by smallest member."""
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if edges.shape[0] == 0:
-        return np.arange(n, dtype=np.int64)
-    u = edges[:, 0] - 1
-    v = edges[:, 1] - 1
-    data = np.ones(len(u), dtype=np.int8)
-    adj = coo_matrix((data, (u, v)), shape=(n, n))
-    ncomp, raw = _cs_components(adj, directed=False)
-    # renumber so that component ids increase with their smallest vertex:
-    # rank each component's first vertex among all first vertices
-    first = np.full(ncomp, n, dtype=np.int64)
-    np.minimum.at(first, raw, np.arange(n))
-    is_first = np.zeros(n, dtype=bool)
-    is_first[first] = True
-    rank = np.cumsum(is_first) - 1
-    return rank[first][raw]
+    return _components(n, edges)[1]
 
 
 def _component_stats(n: int, edges: np.ndarray):
-    labels = _component_labels(n, edges)
-    ncomp = int(labels.max()) + 1 if n else 0
+    """Labels, and the vertex and edge count of each component."""
+    ncomp, labels = _components(n, edges)
     vcounts = np.bincount(labels, minlength=ncomp)
-    if edges.shape[0]:
-        ecounts = np.bincount(labels[edges[:, 0] - 1], minlength=ncomp)
-    else:
-        ecounts = np.zeros(ncomp, dtype=np.int64)
+    ecounts = np.bincount(labels[edges[:, 0] - 1], minlength=ncomp)
     return labels, vcounts, ecounts
 
 
@@ -284,9 +281,9 @@ def classify_component(vertex_count: int, edge_count: int) -> str:
 
 
 def _complex_components(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Component label per vertex, and the mask of the complex part."""
+    """Component label per vertex, and which components are complex."""
     labels, vcounts, ecounts = _component_stats(g.n, g.edges)
-    return labels, (ecounts >= vcounts + 1)[labels]
+    return labels, ecounts >= vcounts + 1
 
 
 def _largest_component(n: int, edges: np.ndarray) -> np.ndarray:
@@ -308,7 +305,8 @@ def has_complex_component(g: LabeledGraph) -> bool:
 
 def complex_part(g: LabeledGraph) -> GraphSlice:
     """Union of all components with excess >= 1, labels preserved."""
-    return GraphSlice(g, _complex_components(g)[1])
+    labels, is_complex = _complex_components(g)
+    return GraphSlice(g, is_complex[labels])
 
 
 def _peel_to_core(part: GraphSlice) -> GraphSlice:
@@ -356,7 +354,8 @@ def core_of(g: LabeledGraph) -> GraphSlice:
 
 def split(g: LabeledGraph) -> Decomposition:
     """Three-way decomposition (large complex, small complex, rest) + core."""
-    labels, in_complex = _complex_components(g)
+    labels, is_complex = _complex_components(g)
+    in_complex = is_complex[labels]
     core = _peel_to_core(GraphSlice(g, in_complex))
     if core.is_empty:
         best = np.zeros(0, dtype=np.int64)

@@ -32,6 +32,7 @@ from .graphs import (GraphError, GraphSlice, LabeledGraph, MultiGraph,
 DEFAULT_GNM_CAP = 10_000
 DEFAULT_CS_CAP = 100_000
 ENUMERATION_CAP = 10_000
+ENUMERATION_EDGE_CAP = 100_000  # edges over all the graphs of a class
 # balls per pairing draw of _simple_pairings; bounds the memory of a block
 _BLOCK_BALLS = 1 << 14
 
@@ -187,6 +188,14 @@ def _complex_order(core: LabeledGraph, q) -> int:
     return q
 
 
+def _grow(core: LabeledGraph, q: int, rng) -> tuple:
+    """The core edges stacked on those of a uniform rooted forest on
+    {1..q} rooted at the core vertices, and the forest; neither the core
+    nor q is checked."""
+    forest = sample_forest(q, core.n, rng)
+    return np.vstack((core.edges, forest.edges)), forest
+
+
 def sample_complex(core: LabeledGraph, q: int, rng=None, *,
                    return_forest: bool = False):
     """Uniform complex graph on {1..q} whose core is the given graph.
@@ -199,9 +208,7 @@ def sample_complex(core: LabeledGraph, q: int, rng=None, *,
     for core vertices.  With return_forest=True the intermediate forest
     comes back alongside the graph.
     """
-    q = _complex_order(core, q)
-    forest = sample_forest(q, core.n, rng)
-    edges = np.vstack((core.edges, forest.edges))
+    edges, forest = _grow(core, _complex_order(core, q), rng)
     g = LabeledGraph(q, edges)
     if return_forest:
         return g, forest
@@ -287,6 +294,8 @@ def sample_pipeline(spec: PipelineSpec, rng=None, *,
     vertices map onto the low labels of their block in increasing
     order.  With shuffle_labels=True a uniform label permutation is
     applied at the end (drawn from the same generator, after the parts).
+    The spec has checked its core, and each block of a valid core is a
+    valid core, so the blocks are grown without checking them again.
     """
     rng = np.random.default_rng(rng)
     large, rest = spec._parts
@@ -294,9 +303,9 @@ def sample_pipeline(spec: PipelineSpec, rng=None, *,
     r = spec.small_order
     blocks = []
     if l:
-        blocks.append(sample_complex(large, l, rng).edges)
+        blocks.append(_grow(large, l, rng)[0])
     if r:
-        blocks.append(sample_complex(rest, r, rng).edges + l)
+        blocks.append(_grow(rest, r, rng)[0] + l)
     if spec.spare_order:
         spare = sample_cs(spec.spare_order, spec.spare_edges, rng)
         blocks.append(spare.edges + (l + r))
@@ -323,14 +332,16 @@ class UniformityReport:
 def enumerate_gnm(n: int, m: int) -> list[LabeledGraph]:
     """All simple graphs on {1..n} with m edges, in lexicographic order.
 
-    The class is counted before any pair is listed, so a class over
-    ENUMERATION_CAP is refused at once, whatever n is.
+    The class is counted before any pair is listed, so a class of more
+    than ENUMERATION_CAP graphs, or of more than ENUMERATION_EDGE_CAP
+    edges over all its graphs, is refused at once, whatever n is.
     """
     n = int(n)
     m = int(m)
     total = comb(comb(n, 2), m)
-    if total > ENUMERATION_CAP:
-        raise ValueError(f"{total} graphs is too many to enumerate")
+    if total > ENUMERATION_CAP or total * m > ENUMERATION_EDGE_CAP:
+        raise ValueError(f"{total} graphs of {m} edges is too many to "
+                         "enumerate")
     if m == 0:  # combinations() would first list all comb(n, 2) pairs
         return [LabeledGraph(n)]
     pairs = itertools.combinations(range(1, n + 1), 2)

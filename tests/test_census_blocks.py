@@ -174,3 +174,14 @@ def test_capped_gnm_raises_where_the_reference_does(cap):
 def test_census_fits_in_two_gib(argv):
     result = run_capped(["-m", "degree_lab.cli", *argv])
     assert result.returncode == 0, result.stderr
+
+
+def test_class_over_the_edge_bound_is_refused_before_listing():
+    # 9 870 graphs, under ENUMERATION_CAP, but of 9 869 edges each
+    result = run_capped(["-m", "degree_lab.cli", "census", "--n", "141",
+                         "--m", "9869", "--trials", "100000"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("degree-lab: error: 9870 graphs of "
+                                    "9869 edges is too many to enumerate")
+    assert len(enumerate_gnm(7, 4)) == 5985  # 23 940 edges, under the bound
