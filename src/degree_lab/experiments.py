@@ -7,8 +7,9 @@ reduces everything to a ConcentrationReport.  Reports serialize to JSON
 or CSV; reruns with the same master seed are byte-identical apart from
 the wall-clock entry, which can be excluded.
 
-KIND_SPECS holds every kind: its command-line flags, its window and its
-trial.  run_experiment and the degree-lab command read nothing else.
+KIND_SPECS holds every kind: its command-line flags and its window,
+which predicts the statistic and hands back the trial that draws it.
+run_experiment and the degree-lab command read nothing else.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bins import max_load, throw_balls
-from .concentration import (classify_regime, predicted_interval,
-                            two_point_prediction, typical_max_load)
+from .concentration import (predicted_interval, two_point_prediction,
+                            typical_max_load)
 from .edgelist import _read_simple_graph
 from .forests import sample_forest_degrees
 from .graphs import LabeledGraph, core_of, split
@@ -59,11 +60,6 @@ class ExperimentConfig:
     threshold: float | None = None
     shuffle_labels: bool = False
 
-    def resolved_threshold(self) -> float:
-        if self.threshold is not None:
-            return float(self.threshold)
-        return KIND_SPECS[self.kind].threshold
-
 
 @dataclass
 class ConcentrationReport:
@@ -71,14 +67,14 @@ class ConcentrationReport:
 
     kind: str
     params: dict
-    interval: tuple[int, int] | None
-    anchor: int | None
-    histogram: dict[int, int]
-    hit_fraction: float | None
     verdict: str
     master_seed: int
-    trial_seeds: list[int]
-    elapsed_ms: float
+    interval: tuple[int, int] | None = None
+    anchor: int | None = None
+    histogram: dict[int, int] = field(default_factory=dict)
+    hit_fraction: float | None = None
+    trial_seeds: list[int] = field(default_factory=list)
+    elapsed_ms: float = 0.0
     extras: dict = field(default_factory=dict)
     trial_stats: list[int | None] = field(default_factory=list)
 
@@ -111,32 +107,31 @@ class Flag:
 
 
 class Window(NamedTuple):
-    """What a kind predicts before its trials run."""
+    """A kind's trial and what it predicts before its trials run."""
 
+    trial: Callable[[int], tuple]  # seed -> statistic, checks, draws
     params: dict  # the kind's own report params, ahead of the shared ones
     interval: tuple[int, int]
     anchor: int
     extras: dict = {}  # report extras known before the trials
-    trial_args: tuple = ()  # built once, handed to every trial
 
 
 @dataclass(frozen=True)
 class KindSpec:
     """One experiment kind.
 
-    A sampling kind gives `window` and `trial`; trial(cfg, seed,
-    *window.trial_args) returns the statistic, the named checks it
-    passed or failed, and the number of draws it made (1 unless it
-    rejects).  counts_attempts reports completed trials over draws as
-    acceptanceFraction.  A kind without trials gives `report`, which
-    builds the whole report.  Samplers are called through this module's
-    globals at call time, never stored.
+    A sampling kind gives `window`, which builds once what its trials
+    share and returns a Window whose trial(seed) returns the statistic,
+    the named checks it passed or failed, and the number of draws it
+    made (1 unless it rejects).  counts_attempts reports completed
+    trials over draws as acceptanceFraction.  A kind without trials
+    gives `report`, which builds the whole report.  Samplers are called
+    through this module's globals at call time, never stored.
     """
 
     help: str
     flags: tuple[Flag, ...]
     window: Callable[[ExperimentConfig], Window] | None = None
-    trial: Callable[[ExperimentConfig, int], tuple] | None = None
     report: Callable[[ExperimentConfig, float],
                      ConcentrationReport] | None = None
     threshold: float = DEFAULT_THRESHOLD
@@ -147,15 +142,16 @@ def _int_if_whole(x: float) -> float | int:
     return int(x) if float(x).is_integer() else x
 
 
-def _window(n: float, k: float | None, eps: float, shift: int = 0):
-    """Load window of k balls in n bins and its anchor, moved up by shift,
-    and the typical load they come from."""
+def _window(n: float, k: float | None, eps: float, shift: int = 0,
+            top: float = math.inf):
+    """Load window of k balls in n bins and its anchor, moved up by shift
+    and capped at top."""
     lo, hi = predicted_interval(n, k, eps)
-    load = typical_max_load(n, k)
-    return (lo + shift, hi + shift), math.floor(load - 1.0 / 3.0) + shift, load
+    anchor = math.floor(typical_max_load(n, k) - 1.0 / 3.0)
+    return _capped((lo + shift, hi + shift), anchor + shift, top)
 
 
-def _capped(interval: tuple[int, int], anchor: int, top: int):
+def _capped(interval: tuple[int, int], anchor: int, top: float):
     """A degree window and its anchor lowered to top, the largest degree
     the sampled graph can have."""
     return (min(interval[0], top), min(interval[1], top)), min(anchor, top)
@@ -163,12 +159,11 @@ def _capped(interval: tuple[int, int], anchor: int, top: int):
 
 def _nu_report(cfg: ExperimentConfig, threshold: float) -> ConcentrationReport:
     k = cfg.k if cfg.k is not None else cfg.n
-    interval, anchor, load = _window(cfg.n, k, cfg.epsilon)
+    interval, anchor = _window(cfg.n, k, cfg.epsilon)
     return ConcentrationReport(
         kind=cfg.kind, params={"n": cfg.n, "k": k, "eps": cfg.epsilon},
-        interval=interval, anchor=anchor, histogram={}, hit_fraction=None,
-        verdict="pass", master_seed=cfg.master_seed, trial_seeds=[],
-        elapsed_ms=0.0, extras={"typicalLoad": load})
+        verdict="pass", master_seed=cfg.master_seed, interval=interval,
+        anchor=anchor, extras={"typicalLoad": typical_max_load(cfg.n, k)})
 
 
 def _census_report(cfg: ExperimentConfig,
@@ -181,10 +176,9 @@ def _census_report(cfg: ExperimentConfig,
         kind=cfg.kind,
         params={"n": cfg.n, "m": cfg.m, "trials": cfg.trials,
                 "threshold": threshold},
-        interval=None, anchor=None,
+        verdict="pass" if passed else "fail", master_seed=cfg.master_seed,
         histogram={i: c for i, c in enumerate(result.counts) if c},
-        hit_fraction=None, verdict="pass" if passed else "fail",
-        master_seed=cfg.master_seed, trial_seeds=[seed], elapsed_ms=0.0,
+        trial_seeds=[seed],
         extras={"graphCount": result.graph_count,
                 "tvDistance": result.tv_distance,
                 "chiSquare": result.chi_square,
@@ -192,62 +186,53 @@ def _census_report(cfg: ExperimentConfig,
 
 
 def _bins_window(cfg):
-    return Window({"n": cfg.n, "k": cfg.k},
-                  *_window(cfg.n, cfg.k, cfg.epsilon)[:2])
-
-
-def _bins_trial(cfg, seed):
-    return max_load(throw_balls(cfg.n, cfg.k, seed)), {}, 1
+    def trial(seed):
+        return max_load(throw_balls(cfg.n, cfg.k, seed)), {}, 1
+    return Window(trial, {"n": cfg.n, "k": cfg.k},
+                  *_window(cfg.n, cfg.k, cfg.epsilon))
 
 
 def _forest_window(cfg):
-    return Window({"n": cfg.n, "t": cfg.t},
-                  *_capped(*_window(cfg.n, None, cfg.epsilon, shift=1)[:2],
-                           cfg.n - 1))
-
-
-def _forest_trial(cfg, seed):
-    deg = sample_forest_degrees(cfg.n, cfg.t, seed)
-    stat = int(deg.max())
-    return stat, {"rootGap": stat - int(deg[:cfg.t].max()) >= 1}, 1
+    def trial(seed):
+        deg = sample_forest_degrees(cfg.n, cfg.t, seed)
+        stat = int(deg.max())
+        return stat, {"rootGap": stat - int(deg[:cfg.t].max()) >= 1}, 1
+    return Window(trial, {"n": cfg.n, "t": cfg.t},
+                  *_window(cfg.n, None, cfg.epsilon, shift=1, top=cfg.n - 1))
 
 
 def _gnm_window(cfg):
-    return Window({"n": cfg.n, "m": cfg.m},
-                  *_capped(*_window(cfg.n, 2 * cfg.m, cfg.epsilon)[:2],
-                           cfg.n - 1))
-
-
-def _gnm_trial(cfg, seed):
-    g, attempts = sample_gnm_counted(cfg.n, cfg.m, seed)
-    return g.max_degree(), {}, attempts
+    def trial(seed):
+        g, attempts = sample_gnm_counted(cfg.n, cfg.m, seed)
+        return g.max_degree(), {}, attempts
+    return Window(trial, {"n": cfg.n, "m": cfg.m},
+                  *_window(cfg.n, 2 * cfg.m, cfg.epsilon, top=cfg.n - 1))
 
 
 def _cs_window(cfg):
-    return Window({"n": cfg.n, "m": cfg.m},
-                  *_capped(*_window(cfg.n, None, cfg.epsilon)[:2], cfg.n - 1))
-
-
-def _cs_trial(cfg, seed):
-    g, attempts = sample_cs_counted(cfg.n, cfg.m, seed)
-    return g.max_degree(), {}, attempts
+    def trial(seed):
+        g, attempts = sample_cs_counted(cfg.n, cfg.m, seed)
+        return g.max_degree(), {}, attempts
+    return Window(trial, {"n": cfg.n, "m": cfg.m},
+                  *_window(cfg.n, None, cfg.epsilon, top=cfg.n - 1))
 
 
 def _complex_window(cfg):
-    return Window({"coreOrder": cfg.core.n, "coreSize": cfg.core.num_edges,
-                   "q": cfg.q},
-                  *_capped(*_window(cfg.q, None, cfg.epsilon, shift=1)[:2],
-                           cfg.q - 1))
+    core_edges = cfg.core.edge_set()
+    core_degrees = cfg.core.degree_sequence()
 
-
-def _complex_trial(cfg, seed):
-    g, forest = sample_complex(cfg.core, cfg.q, seed, return_forest=True)
-    expected = forest.degree_sequence()
-    expected[:cfg.core.n] += cfg.core.degree_sequence()
-    return g.max_degree(), {
-        "coreRecovery": core_of(g).edge_set() == cfg.core.edge_set(),
-        "degreeIdentity": bool(np.array_equal(g.degree_sequence(), expected)),
-    }, 1
+    def trial(seed):
+        g, forest = sample_complex(cfg.core, cfg.q, seed, return_forest=True)
+        expected = forest.degree_sequence()
+        expected[:cfg.core.n] += core_degrees
+        return g.max_degree(), {
+            "coreRecovery": core_of(g).edge_set() == core_edges,
+            "degreeIdentity": bool(np.array_equal(g.degree_sequence(),
+                                                  expected)),
+        }, 1
+    return Window(trial, {"coreOrder": cfg.core.n,
+                          "coreSize": cfg.core.num_edges, "q": cfg.q},
+                  *_window(cfg.q, None, cfg.epsilon, shift=1, top=cfg.q - 1))
 
 
 def _pipeline_window(cfg):
@@ -258,24 +243,23 @@ def _pipeline_window(cfg):
               "shuffleLabels": cfg.shuffle_labels}
     spec = PipelineSpec(cfg.core, cfg.large_order, cfg.small_order,
                         cfg.n, cfg.m)
-    return Window(params, *_capped(prediction.as_tuple(), prediction.lower,
-                                   cfg.n - 1),
-                  {"regime": prediction.regime}, (spec,))
 
-
-def _pipeline_trial(cfg, seed, spec):
-    g = sample_pipeline(spec, seed, shuffle_labels=cfg.shuffle_labels)
-    parts = split(g)
-    checks = {
-        "conservation": g.n == cfg.n and g.num_edges == cfg.m,
-        "partOrders": (parts.large_complex.order == spec.large_order
-                       and parts.small_complex.order == spec.small_order
-                       and parts.non_complex.order == spec.spare_order),
-    }
-    if spec.small_order > 0 and spec.spare_order > 0:
-        checks["smallPartBelowSpare"] = (parts.small_complex.max_degree()
-                                         < parts.non_complex.max_degree())
-    return g.max_degree(), checks, 1
+    def trial(seed):
+        g = sample_pipeline(spec, seed, shuffle_labels=cfg.shuffle_labels)
+        parts = split(g)
+        checks = {
+            "conservation": g.n == spec.n and g.num_edges == spec.m,
+            "partOrders": (parts.large_complex.order == spec.large_order
+                           and parts.small_complex.order == spec.small_order
+                           and parts.non_complex.order == spec.spare_order),
+        }
+        if spec.small_order > 0 and spec.spare_order > 0:
+            checks["smallPartBelowSpare"] = (parts.small_complex.max_degree()
+                                             < parts.non_complex.max_degree())
+        return g.max_degree(), checks, 1
+    return Window(trial, params,
+                  *_capped(prediction.as_tuple(), prediction.lower, cfg.n - 1),
+                  {"regime": prediction.regime})
 
 
 _N = Flag("--n", "n", low=1)
@@ -299,24 +283,24 @@ KIND_SPECS: dict[str, KindSpec] = {
     "bins": KindSpec(
         "maximum load of k balls in n bins",
         (*_TRIALS, _EPS, _N, Flag("--k", "k", low=1)),
-        _bins_window, _bins_trial),
+        _bins_window),
     "forest": KindSpec(
         "maximum degree of a uniform rooted forest",
         (*_TRIALS, _EPS, _N, Flag("--t", "t", low=1)),
-        _forest_window, _forest_trial),
+        _forest_window),
     "gnm": KindSpec(
         "maximum degree of a uniform graph with m edges",
         (*_TRIALS, _EPS, _N, Flag("--m", "m", low=1)),
-        _gnm_window, _gnm_trial, counts_attempts=True),
+        _gnm_window, counts_attempts=True),
     "cs": KindSpec(
         "maximum degree of a uniform complex-free graph",
         (*_TRIALS, _EPS, _N, Flag("--m", "m", low=0)),
-        _cs_window, _cs_trial, counts_attempts=True),
+        _cs_window, counts_attempts=True),
     "complex": KindSpec(
         "maximum degree of a complex graph with a prescribed core",
         (*_TRIALS, _EPS, _CORE,
          Flag("--q", "q", help="order of the sampled graph", low=1)),
-        _complex_window, _complex_trial),
+        _complex_window),
     "pipeline": KindSpec(
         "assembled three-part graph experiment",
         (*_TRIALS, _CORE,
@@ -328,7 +312,7 @@ KIND_SPECS: dict[str, KindSpec] = {
          Flag("--shuffle-labels", "shuffle_labels", bool,
               help="apply a uniform label permutation to each draw",
               required=False)),
-        _pipeline_window, _pipeline_trial),
+        _pipeline_window),
     "census": KindSpec(
         "uniformity check of the gnm sampler",
         (*_TRIALS, _N, Flag("--m", "m", low=0)),
@@ -373,7 +357,7 @@ def _trial_report(cfg: ExperimentConfig, spec: KindSpec,
     attempts = 0
     for seed in seeds:
         try:
-            stat, passed, tries = spec.trial(cfg, seed, *window.trial_args)
+            stat, passed, tries = window.trial(seed)
         except SamplingCapExceeded as exc:
             stats.append(None)
             attempts += exc.attempts
@@ -395,25 +379,20 @@ def _trial_report(cfg: ExperimentConfig, spec: KindSpec,
         extras["failedTrials"] = cfg.trials - len(observed)
 
     return ConcentrationReport(
-        kind=cfg.kind,
-        params=params,
-        interval=(int(lo), int(hi)),
+        kind=cfg.kind, params=params,
+        verdict="pass" if hit_fraction >= threshold else "fail",
+        master_seed=cfg.master_seed, interval=(int(lo), int(hi)),
         anchor=int(window.anchor),
         histogram=dict(sorted(Counter(observed).items())),
-        hit_fraction=hit_fraction,
-        verdict="pass" if hit_fraction >= threshold else "fail",
-        master_seed=cfg.master_seed,
-        trial_seeds=seeds,
-        elapsed_ms=0.0,
-        extras=extras,
-        trial_stats=stats,
-    )
+        hit_fraction=hit_fraction, trial_seeds=seeds, extras=extras,
+        trial_stats=stats)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     start = time.perf_counter()
     spec = _checked_spec(cfg)
-    threshold = cfg.resolved_threshold()
+    threshold = (spec.threshold if cfg.threshold is None
+                 else float(cfg.threshold))
     if spec.report is not None:
         report = spec.report(cfg, threshold)
     else:
@@ -468,7 +447,5 @@ def emit_report(report: ConcentrationReport, fmt: str = "json", *,
     raise ValueError(f"unknown format {fmt!r}")
 
 
-__all__ = [
-    "KINDS", "ExperimentConfig", "ConcentrationReport", "run_experiment",
-    "emit_report", "classify_regime",
-]
+__all__ = ["KINDS", "ExperimentConfig", "ConcentrationReport",
+           "run_experiment", "emit_report"]

@@ -155,6 +155,8 @@ def degrees_from_sequence(n: int, t: int, seq) -> np.ndarray:
 
 
 def _draw_sequence(n: int, t: int, rng) -> np.ndarray:
+    if n == t:  # the one forest of roots alone; nothing to draw
+        return np.empty(0, dtype=np.int64)
     body = rng.integers(1, n + 1, size=n - t - 1)
     last = rng.integers(1, t + 1)
     return np.append(body, last)
@@ -163,8 +165,6 @@ def _draw_sequence(n: int, t: int, rng) -> np.ndarray:
 def sample_forest(n: int, t: int, rng=None) -> RootedForest:
     """Uniform rooted forest on {1..n} with roots 1..t."""
     n, t = _forest_shape(n, t)
-    if n == t:
-        return RootedForest(n, t)
     rng = np.random.default_rng(rng)
     return decode_sequence(n, t, _draw_sequence(n, t, rng))
 
@@ -176,7 +176,5 @@ def sample_forest_degrees(n: int, t: int, rng=None) -> np.ndarray:
     seeds this returns sample_forest(n, t, seed).degree_sequence().
     """
     n, t = _forest_shape(n, t)
-    if n == t:
-        return np.zeros(n, dtype=np.int64)
     rng = np.random.default_rng(rng)
     return degrees_from_sequence(n, t, _draw_sequence(n, t, rng))

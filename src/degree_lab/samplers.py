@@ -349,6 +349,15 @@ def enumerate_gnm(n: int, m: int) -> list[LabeledGraph]:
             for subset in itertools.combinations(pairs, m)]
 
 
+def _row_items(keys: np.ndarray) -> np.ndarray:
+    """Each row of an (r, m) array of edge keys as one item, which sorts
+    and compares by the row's bytes; rows of width 0 all become 0."""
+    r, m = keys.shape
+    if m == 0:
+        return np.zeros(r, dtype=np.int64)
+    return keys.view(np.dtype((np.void, keys.itemsize * m))).ravel()
+
+
 def exact_census_gnm(n: int, m: int, trials: int,
                      rng=None) -> UniformityReport:
     """Compare sample_gnm against brute-force enumeration.
@@ -368,21 +377,20 @@ def exact_census_gnm(n: int, m: int, trials: int,
     graphs = enumerate_gnm(n, m)
     total = len(graphs)
     edges = np.stack([g.edges for g in graphs])
-    known = _edge_keys(n, edges[..., 0], edges[..., 1])
+    known = _row_items(_edge_keys(n, edges[..., 0], edges[..., 1]))
+    order = np.argsort(known)  # enumeration index of each sorted row
+    known = known[order]
     rng = np.random.default_rng(rng)
     found = np.empty(trials, dtype=np.int64)  # enumeration index of sample i
     done = 0
     for u, v, _ in _simple_pairings(n, m, trials, rng, DEFAULT_GNM_CAP):
-        keys = _edge_keys(n, u, v)
-        # known holds each graph of the class once and comes first, so the
-        # first occurrence of a sample's row is its enumeration index
-        _, first, inverse = np.unique(np.concatenate((known, keys)), axis=0,
-                                      return_index=True, return_inverse=True)
-        found[done:done + len(keys)] = first[inverse.ravel()[total:]]
+        keys = _row_items(_edge_keys(n, u, v))
+        at = np.searchsorted(known, keys).clip(max=total - 1)
+        if not (known[at] == keys).all():
+            raise RuntimeError("a sample outside the enumerated class")
+        found[done:done + len(keys)] = order[at]
         done += len(keys)
     counts = np.bincount(found, minlength=total).tolist()
-    if len(counts) != total:
-        raise RuntimeError("a sample outside the enumerated class")
     if trials == 0:
         return UniformityReport(total, 0, 1.0 - 1.0 / total, None, True,
                                 tuple(counts))

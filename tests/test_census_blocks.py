@@ -185,3 +185,13 @@ def test_class_over_the_edge_bound_is_refused_before_listing():
     assert result.stderr.startswith("degree-lab: error: 9870 graphs of "
                                     "9869 edges is too many to enumerate")
     assert len(enumerate_gnm(7, 4)) == 5985  # 23 940 edges, under the bound
+
+
+@pytest.mark.parametrize("missing", [0, 1, 2])
+def test_sample_outside_the_class_is_refused(monkeypatch, missing):
+    graphs = enumerate_gnm(3, 2)
+    del graphs[missing]
+    monkeypatch.setattr(samplers, "enumerate_gnm", lambda n, m: graphs)
+    with pytest.raises(RuntimeError,
+                       match="a sample outside the enumerated class"):
+        exact_census_gnm(3, 2, 50, 0)

@@ -1,11 +1,13 @@
 """Dead code in src/degree_lab, found with the standard-library ast module.
 
-Two checks stand in for a linter:
+Three checks stand in for a linter:
 
 - every name a module imports is used in it, or listed in its __all__
   (the package __init__ only re-exports, so it is exempt);
 - every private module-level name (one leading underscore) defined in
-  src/degree_lab is referenced somewhere in src/ or tests/.
+  src/degree_lab is referenced somewhere in src/ or tests/;
+- every name a module lists in its __all__ is defined in it, not merely
+  imported (again the package __init__ is exempt).
 """
 import ast
 from pathlib import Path
@@ -54,8 +56,8 @@ def loaded(tree: ast.Module) -> set[str]:
     return names
 
 
-def private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Module-level functions, classes and assignments named _x, not __x."""
+def definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and assignments, by name."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -68,9 +70,14 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
         else:
             continue
         for name in targets:
-            if name.startswith("_") and not name.startswith("__"):
-                names[name] = node.lineno
+            names[name] = node.lineno
     return names
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and assignments named _x, not __x."""
+    return {name: line for name, line in definitions(tree).items()
+            if name.startswith("_") and not name.startswith("__")}
 
 
 def test_no_unused_imports():
@@ -95,3 +102,15 @@ def test_every_private_name_is_referenced():
             for name, line in private_definitions(parse(path)).items()
             if name not in referenced]
     assert not dead, "private names referenced nowhere: " + ", ".join(dead)
+
+
+def test_every_exported_name_is_defined():
+    undefined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = parse(path)
+        undefined += [f"{path.name} {name}" for name in sorted(exported(tree))
+                      if name not in definitions(tree)]
+    assert not undefined, ("__all__ names not defined in their module: "
+                           + ", ".join(undefined))

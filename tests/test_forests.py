@@ -10,7 +10,8 @@ from degree_lab.forests import (RootedForest, decode_sequence,
                                 degrees_from_sequence, encode_forest,
                                 forest_count, sample_forest,
                                 sample_forest_degrees)
-from degree_lab.graphs import GraphError
+from degree_lab.graphs import GraphError, LabeledGraph
+from degree_lab.samplers import sample_complex
 from oracles import enumerate_rooted_forests, is_rooted_forest
 
 
@@ -176,3 +177,14 @@ class TestSampling:
     def test_all_roots(self):
         f = sample_forest(4, 4, rng=0)
         assert f.edge_set() == set()
+
+    def test_all_roots_draw_nothing(self):
+        # n == t has one forest and one code word, the empty one
+        k4 = LabeledGraph(4, list(itertools.combinations(range(1, 5), 2)))
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        forest = sample_forest(4, 4, rng)
+        assert (forest.n, forest.t, forest.num_edges) == (4, 4, 0)
+        assert sample_forest_degrees(4, 4, rng).tolist() == [0, 0, 0, 0]
+        assert sample_complex(k4, 4, rng) == k4
+        assert rng.bit_generator.state == state
