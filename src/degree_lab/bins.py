@@ -10,13 +10,13 @@ import math
 
 import numpy as np
 
-from .graphs import MAX_VERTICES
+from .graphs import MAX_VERTICES, _whole
 
 
 def _bin_count(n) -> int:
     """n as an int, refused above MAX_VERTICES before any array of size n
     is made."""
-    n = int(n)
+    n = _whole("n", n)
     if n > MAX_VERTICES:
         raise ValueError(f"n = {n} exceeds the limit {MAX_VERTICES}")
     return n
@@ -25,7 +25,7 @@ def _bin_count(n) -> int:
 def throw_positions(n: int, k: int, rng=None) -> np.ndarray:
     """Landing bins of k balls, one entry per ball, each uniform on 1..n."""
     n = _bin_count(n)
-    k = int(k)
+    k = _whole("k", k)
     if n < 1:
         raise ValueError("need at least one bin")
     if k < 0:
@@ -58,7 +58,7 @@ def max_load(loads: np.ndarray) -> int:
 def prefix_max_load(loads: np.ndarray, t: int) -> int:
     """Maximum load among the first t bins."""
     loads = np.asarray(loads)
-    t = int(t)
+    t = _whole("t", t)
     if not 1 <= t <= loads.size:
         raise ValueError("prefix length out of range")
     return int(loads[:t].max())
@@ -67,8 +67,6 @@ def prefix_max_load(loads: np.ndarray, t: int) -> int:
 def census(loads: np.ndarray) -> np.ndarray:
     """Observed census: entry l counts the bins with load exactly l."""
     loads = np.asarray(loads, dtype=np.int64)
-    if loads.size == 0:
-        return np.zeros(0, dtype=np.int64)
     return np.bincount(loads).astype(np.int64)
 
 
@@ -78,9 +76,9 @@ def expected_census(n: int, k: int, load: int) -> float:
     Equals n * C(k, load) * (1/n)**load * (1 - 1/n)**(k - load),
     evaluated in log space so large n and k are safe.
     """
-    n = int(n)
-    k = int(k)
-    load = int(load)
+    n = _whole("n", n)
+    k = _whole("k", k)
+    load = _whole("load", load)
     if n < 1:
         raise ValueError("need at least one bin")
     if k < 0:

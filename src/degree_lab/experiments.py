@@ -201,20 +201,12 @@ def _forest_window(cfg):
                   *_window(cfg.n, None, cfg.epsilon, shift=1, top=cfg.n - 1))
 
 
-def _gnm_window(cfg):
+def _counted_window(cfg, sampler, k):
     def trial(seed):
-        g, attempts = sample_gnm_counted(cfg.n, cfg.m, seed)
+        g, attempts = sampler(cfg.n, cfg.m, seed)
         return g.max_degree(), {}, attempts
     return Window(trial, {"n": cfg.n, "m": cfg.m},
-                  *_window(cfg.n, 2 * cfg.m, cfg.epsilon, top=cfg.n - 1))
-
-
-def _cs_window(cfg):
-    def trial(seed):
-        g, attempts = sample_cs_counted(cfg.n, cfg.m, seed)
-        return g.max_degree(), {}, attempts
-    return Window(trial, {"n": cfg.n, "m": cfg.m},
-                  *_window(cfg.n, None, cfg.epsilon, top=cfg.n - 1))
+                  *_window(cfg.n, k, cfg.epsilon, top=cfg.n - 1))
 
 
 def _complex_window(cfg):
@@ -291,11 +283,13 @@ KIND_SPECS: dict[str, KindSpec] = {
     "gnm": KindSpec(
         "maximum degree of a uniform graph with m edges",
         (*_TRIALS, _EPS, _N, Flag("--m", "m", low=1)),
-        _gnm_window, counts_attempts=True),
+        lambda cfg: _counted_window(cfg, sample_gnm_counted, 2 * cfg.m),
+        counts_attempts=True),
     "cs": KindSpec(
         "maximum degree of a uniform complex-free graph",
         (*_TRIALS, _EPS, _N, Flag("--m", "m", low=0)),
-        _cs_window, counts_attempts=True),
+        lambda cfg: _counted_window(cfg, sample_cs_counted, None),
+        counts_attempts=True),
     "complex": KindSpec(
         "maximum degree of a complex graph with a prescribed core",
         (*_TRIALS, _EPS, _CORE,

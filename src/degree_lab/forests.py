@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import (MAX_VERTICES, GraphError, LabeledGraph,
-                     _components, _EdgeListGraph)
+                     _components, _EdgeListGraph, _whole)
 
 
 class RootedForest(_EdgeListGraph):
@@ -65,8 +65,8 @@ class RootedForest(_EdgeListGraph):
 
 def _forest_shape(n, t) -> tuple[int, int]:
     """n and t as ints, checked to describe a rooted forest."""
-    n = int(n)
-    t = int(t)
+    n = _whole("n", n)
+    t = _whole("t", t)
     if n < 0 or not (0 <= t <= n) or (n > 0 and t == 0):
         raise ValueError(f"invalid forest shape: n = {n}, t = {t}")
     if n > MAX_VERTICES:

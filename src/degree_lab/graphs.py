@@ -25,6 +25,7 @@ degree <= 1 vertices per round (see _peel_to_core).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,15 @@ class GraphError(Exception):
     """A graph value violates one of its invariants."""
 
 
+def _whole(name: str, x) -> int:
+    """x as an int; floats, whole ones included, are refused, never
+    truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x}") from None
+
+
 def _edge_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Keys u * (n + 1) + v of the edges (u[..., i], v[..., i]), u <= v,
     sorted along the last axis."""
@@ -59,7 +69,7 @@ def _has_repeat(key: np.ndarray):
     return (key[..., 1:] == key[..., :-1]).any(axis=-1)
 
 
-def _canonical_edges(n: int, edges, *, allow_loops: bool, allow_multi: bool) -> np.ndarray:
+def _canonical_edges(n: int, edges, simple_only: bool) -> np.ndarray:
     """Validate endpoints and return edges as an (m, 2) array in key order."""
     arr = np.asarray(edges)
     if arr.size and arr.dtype.kind not in "iu":
@@ -74,10 +84,10 @@ def _canonical_edges(n: int, edges, *, allow_loops: bool, allow_multi: bool) -> 
             raise GraphError("edge endpoint outside 1..n")
         u = np.minimum(arr[:, 0], arr[:, 1])
         v = np.maximum(arr[:, 0], arr[:, 1])
-        if not allow_loops and _has_loop(u, v):
+        if simple_only and _has_loop(u, v):
             raise GraphError("self-loop not allowed in a simple graph")
         key = _edge_keys(n, u, v)
-        if not allow_multi and _has_repeat(key):
+        if simple_only and _has_repeat(key):
             raise GraphError("duplicate edge not allowed in a simple graph")
         np.divmod(key, n + 1, out=(arr[:, 0], arr[:, 1]))
     arr.setflags(write=False)
@@ -97,13 +107,12 @@ def _pairing_is_simple(n: int, u: np.ndarray, v: np.ndarray):
 class _EdgeListGraph:
     """A graph stored as n plus a canonical edge array.
 
-    Subclasses say by the class attributes allow_loops and allow_multi
-    which edge lists they accept.
+    Subclasses say by the class attribute simple_only whether they
+    refuse loops and repeated edges.
     """
 
     __slots__ = ()
-    allow_loops = False
-    allow_multi = False
+    simple_only = True
 
     def __init__(self, n: int, edges=()):
         n = int(n)
@@ -112,8 +121,7 @@ class _EdgeListGraph:
         if n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} over the limit {MAX_VERTICES}")
         self.n = n
-        self.edges = _canonical_edges(n, edges, allow_loops=self.allow_loops,
-                                      allow_multi=self.allow_multi)
+        self.edges = _canonical_edges(n, edges, self.simple_only)
 
     @property
     def num_edges(self) -> int:
@@ -150,7 +158,7 @@ class MultiGraph(_EdgeListGraph):
     """Undirected multigraph on {1..n}; loops and repeated edges allowed."""
 
     __slots__ = ("n", "edges")
-    allow_loops = allow_multi = True
+    simple_only = False
 
     def is_simple(self) -> bool:
         return bool(_pairing_is_simple(self.n, self.edges[:, 0],
@@ -259,13 +267,11 @@ def components(g: LabeledGraph) -> list[tuple[np.ndarray, int]]:
 
     Components are listed in order of their smallest vertex label.
     """
-    labels, _, ecounts = _component_stats(g.n, g.edges)
-    if g.n == 0:
-        return []
-    order = np.argsort(labels, kind="stable")
-    bounds = np.flatnonzero(np.diff(labels[order])) + 1
-    groups = np.split(order + 1, bounds)
-    return [(grp, int(ecounts[i])) for i, grp in enumerate(groups)]
+    labels, vcounts, ecounts = _component_stats(g.n, g.edges)
+    groups = np.split(np.argsort(labels, kind="stable") + 1,
+                      np.cumsum(vcounts)[:-1])
+    # with no vertices np.split still gives one empty group; zip drops it
+    return [(grp, int(e)) for grp, e in zip(groups, ecounts)]
 
 
 def classify_component(vertex_count: int, edge_count: int) -> str:
@@ -292,11 +298,9 @@ def _largest_component(n: int, edges: np.ndarray) -> np.ndarray:
     Ties go to the component holding the smallest label; with no
     vertices the mask is empty.
     """
-    if n == 0:
-        return np.zeros(0, dtype=bool)
     labels = _component_labels(n, edges)
     # argmax takes the first maximum, and ids rise with the smallest label
-    return labels == np.argmax(np.bincount(labels))
+    return labels == np.argmax(np.bincount(labels, minlength=1))
 
 
 def has_complex_component(g: LabeledGraph) -> bool:
@@ -321,9 +325,7 @@ def _peel_to_core(part: GraphSlice) -> GraphSlice:
     neighbour.  Two adjacent frontier vertices die in the same round and
     only update each other.
     """
-    if part.size == 0:
-        return GraphSlice(part, np.zeros(0, dtype=bool))
-    hi = int(part.vertices[-1])
+    hi = int(part.vertices.max(initial=0))
     deg = np.bincount(part.edges.ravel(), minlength=hi + 1)
     xor = np.zeros(hi + 1, dtype=np.int64)
     np.bitwise_xor.at(xor, part.edges, part.edges[:, ::-1])
@@ -357,13 +359,11 @@ def split(g: LabeledGraph) -> Decomposition:
     labels, is_complex = _complex_components(g)
     in_complex = is_complex[labels]
     core = _peel_to_core(GraphSlice(g, in_complex))
-    if core.is_empty:
-        best = np.zeros(0, dtype=np.int64)
-        in_large = np.zeros(g.n, dtype=bool)
-    else:
-        hi = int(core.vertices[-1])
-        best = np.flatnonzero(_largest_component(hi, core.edges)) + 1
-        in_large = labels == labels[best[0] - 1]
+    hi = int(core.vertices.max(initial=0))
+    best = np.flatnonzero(_largest_component(hi, core.edges)) + 1
+    # best's component, none for an empty core; kind="sort" compares with
+    # the one label directly instead of building a table over all labels
+    in_large = np.isin(labels, labels[best[:1] - 1], kind="sort")
     return Decomposition(GraphSlice(g, in_large),
                          GraphSlice(g, in_complex & ~in_large),
                          GraphSlice(g, ~in_complex), core, best)

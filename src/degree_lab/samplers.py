@@ -27,7 +27,7 @@ from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
 from .graphs import (GraphError, GraphSlice, LabeledGraph, MultiGraph,
                      _complex_components, _edge_keys, _largest_component,
-                     _pairing_is_simple, has_complex_component)
+                     _pairing_is_simple, _whole, has_complex_component)
 
 DEFAULT_GNM_CAP = 10_000
 DEFAULT_CS_CAP = 100_000
@@ -57,8 +57,8 @@ def _draw_pairing(n: int, m: int, rows: int,
 
 def _gnm_size(n, m) -> tuple[int, int]:
     """n and m as ints, checked as the order and size of a simple graph."""
-    n = int(n)
-    m = int(m)
+    n = _whole("n", n)
+    m = _whole("m", m)
     if n < 1:
         raise ValueError("need at least one vertex")
     if not 0 <= m <= comb(n, 2):
@@ -96,8 +96,8 @@ def sample_multigraph(n: int, m: int, rng=None) -> MultiGraph:
     2m-ball throw, so with equal seeds the degree sequence matches
     throw_balls(n, 2 * m, seed).
     """
-    n = int(n)
-    m = int(m)
+    n = _whole("n", n)
+    m = _whole("m", m)
     if n < 1:
         raise ValueError("need at least one vertex")
     if m < 0:
@@ -137,8 +137,8 @@ def sample_cs_counted(n: int, m: int, rng=None, *,
     class.  Feasible complex-free graphs need m <= n; the loop is only
     fast for m near n/2 or below.
     """
-    n = int(n)
-    m = int(m)
+    n = _whole("n", n)
+    m = _whole("m", m)
     if m > n:
         raise ValueError(f"a complex-free graph has at most n = {n} edges, "
                          f"got m = {m}")
@@ -169,9 +169,7 @@ def validate_core_graph(g: LabeledGraph) -> None:
     excess nor the component count, and a unicyclic piece would not be
     complex to begin with.  Raises GraphError otherwise.
     """
-    if g.n == 0:
-        return
-    if g.num_edges == 0 or g.degree_sequence().min() < 2:
+    if g.degree_sequence().min(initial=2) < 2:
         raise GraphError("core graph needs minimum degree 2")
     if not _complex_components(g)[1].all():
         raise GraphError("every core component needs excess >= 1")
@@ -182,7 +180,7 @@ def _complex_order(core: LabeledGraph, q) -> int:
     validate_core_graph(core)
     if core.n == 0:
         raise ValueError("core must be non-empty")
-    q = int(q)
+    q = _whole("q", q)
     if q < core.n:
         raise ValueError("q must be at least the core order")
     return q
@@ -301,15 +299,12 @@ def sample_pipeline(spec: PipelineSpec, rng=None, *,
     large, rest = spec._parts
     l = spec.large_order
     r = spec.small_order
-    blocks = []
-    if l:
-        blocks.append(_grow(large, l, rng)[0])
-    if r:
-        blocks.append(_grow(rest, r, rng)[0] + l)
+    # an empty core block has order 0 and grows an empty forest, drawing nothing
+    blocks = [_grow(large, l, rng)[0], _grow(rest, r, rng)[0] + l]
     if spec.spare_order:
         spare = sample_cs(spec.spare_order, spec.spare_edges, rng)
         blocks.append(spare.edges + (l + r))
-    edges = np.vstack(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+    edges = np.vstack(blocks)
     if shuffle_labels:
         perm = np.empty(spec.n + 1, dtype=np.int64)
         perm[1:] = rng.permutation(spec.n) + 1
@@ -336,8 +331,8 @@ def enumerate_gnm(n: int, m: int) -> list[LabeledGraph]:
     than ENUMERATION_CAP graphs, or of more than ENUMERATION_EDGE_CAP
     edges over all its graphs, is refused at once, whatever n is.
     """
-    n = int(n)
-    m = int(m)
+    n = _whole("n", n)
+    m = _whole("m", m)
     total = comb(comb(n, 2), m)
     if total > ENUMERATION_CAP or total * m > ENUMERATION_EDGE_CAP:
         raise ValueError(f"{total} graphs of {m} edges is too many to "
@@ -371,7 +366,7 @@ def exact_census_gnm(n: int, m: int, trials: int,
     trips whenever trials < graph_count.
     """
     n, m = _gnm_size(n, m)
-    trials = int(trials)
+    trials = _whole("trials", trials)
     if trials < 0:
         raise ValueError("trials must be non-negative")
     graphs = enumerate_gnm(n, m)
