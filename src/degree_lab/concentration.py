@@ -11,12 +11,16 @@ degree of sparse random graph models: depending on how the edge count m
 compares to n/2 the maximum degree lands in a window {h, h + 1} whose
 anchor h is a floor of a shifted typical load.
 
-All counts may be real valued; they enter only through logarithms.
+The load functions take real-valued counts, which enter only through
+logarithms; classify_regime and two_point_prediction take the integer
+order n and size m of a graph, and refuse floats rather than truncate.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .graphs import _whole
 
 REGIME_BELOW = "I"
 REGIME_WINDOW = "II"
@@ -144,8 +148,8 @@ def classify_regime(n: int, m: int, *, linear_cap: float = 0.05,
 
     checked in that order; anything else is "out-of-scope".
     """
-    n = int(n)
-    m = int(m)
+    n = _whole("n", n)
+    m = _whole("m", m)
     if n < 1:
         raise ValueError("need at least one vertex")
     if m < 0:

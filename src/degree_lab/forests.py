@@ -22,13 +22,18 @@ removed once itself, so
 
 Uniform sequences are trivial to draw, which makes uniform forests and
 their degree sequences cheap to sample.
+
+RootedForest keeps every check for outside input (lists, arrays,
+edge-list files), down to a component pass.  Only the forests that
+decode_sequence builds skip that pass, as checked rows: every valid
+sequence decodes to a rooted forest.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import (MAX_VERTICES, GraphError, LabeledGraph,
-                     _components, _EdgeListGraph, _whole)
+from .graphs import (MAX_VERTICES, GraphError, LabeledGraph, _Checked,
+                     _components, _EdgeListGraph, _key_rows, _whole)
 
 
 class RootedForest(_EdgeListGraph):
@@ -39,7 +44,7 @@ class RootedForest(_EdgeListGraph):
     def __init__(self, n: int, t: int, edges=()):
         super().__init__(n, edges)
         n = self.n
-        t = int(t)
+        t = _whole("t", t)
         if not (0 <= t <= n):
             raise GraphError("root count out of range")
         if n > 0 and t == 0:
@@ -47,13 +52,14 @@ class RootedForest(_EdgeListGraph):
         if self.edges.shape[0] != n - t:
             raise GraphError(f"a forest with {t} trees on {n} vertices "
                              f"has {n - t} edges, got {self.edges.shape[0]}")
-        trees, labels = _components(n, self.edges)
-        if trees != t:
-            raise GraphError("edge set does not form exactly t trees")
-        # labels count trees by smallest member, so the roots 1..t lie in
-        # distinct trees exactly when they carry the labels 0..t-1
-        if not np.array_equal(labels[:t], np.arange(t)):
-            raise GraphError("two roots share a tree")
+        if not isinstance(edges, _Checked):
+            trees, labels = _components(n, self.edges)
+            if trees != t:
+                raise GraphError("edge set does not form exactly t trees")
+            # labels count trees by smallest member, so the roots 1..t lie
+            # in distinct trees exactly when they carry the labels 0..t-1
+            if not np.array_equal(labels[:t], np.arange(t)):
+                raise GraphError("two roots share a tree")
         self.t = t
 
     def as_graph(self) -> LabeledGraph:
@@ -137,12 +143,14 @@ def encode_forest(forest: RootedForest) -> tuple[int, ...]:
 
 
 def decode_sequence(n: int, t: int, seq) -> RootedForest:
-    """Inverse of encode_forest."""
+    """Inverse of encode_forest.  Every valid sequence decodes to a rooted
+    forest, so its edges reach RootedForest as checked rows."""
     degrees = degrees_from_sequence(n, t, seq)  # checks n, t and seq
     seq = np.asarray(seq, dtype=np.int64)
     entries = iter(seq.tolist())
     leaves, _ = _remove_largest_leaves(degrees, lambda leaf: next(entries))
-    return RootedForest(n, t, np.column_stack((seq, leaves)))
+    leaves = np.fromiter(leaves, dtype=np.int64, count=len(leaves))
+    return RootedForest(n, t, _Checked(_key_rows(n, seq, leaves)))
 
 
 def degrees_from_sequence(n: int, t: int, seq) -> np.ndarray:

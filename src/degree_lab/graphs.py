@@ -11,7 +11,10 @@ Edge endpoints must be integers: floats, strings and bools are refused
 with GraphError, never truncated.  Every graph stores its edges as a
 canonical array: rows (u, v) with u <= v, read-only, sorted by the key
 u * (n + 1) + v (by u, then by v); n is at most MAX_VERTICES, so that
-the keys fit in int64.  A GraphSlice is the subgraph of a host picked
+the keys fit in int64.  Edges from outside (files, lists, arrays) are
+checked on every construction; rows the package drew itself, a decoded
+forest or a grown complex graph, arrive checked (_Checked) and are
+stored as given.  A GraphSlice is the subgraph of a host picked
 by a vertex mask: the picked vertices, with their original labels, and
 the host edges whose endpoints are both picked.  Rows taken from a
 canonical array stay canonical, so complex_part, core_of and split cut
@@ -69,29 +72,46 @@ def _has_repeat(key: np.ndarray):
     return (key[..., 1:] == key[..., :-1]).any(axis=-1)
 
 
+def _key_rows(n: int, a: np.ndarray, b: np.ndarray,
+              simple_only: bool = False) -> np.ndarray:
+    """The edges (a[i], b[i]) as read-only int64 rows (u, v), u <= v, in
+    key order; with simple_only a loop or a repeated edge raises
+    GraphError.  Endpoints are int64 in 1..n."""
+    u = np.minimum(a, b)
+    v = np.maximum(a, b)
+    if simple_only and _has_loop(u, v):
+        raise GraphError("self-loop not allowed in a simple graph")
+    key = _edge_keys(n, u, v)
+    if simple_only and _has_repeat(key):
+        raise GraphError("duplicate edge not allowed in a simple graph")
+    rows = np.empty((key.size, 2), dtype=np.int64)
+    np.divmod(key, n + 1, out=(rows[:, 0], rows[:, 1]))
+    rows.setflags(write=False)
+    return rows
+
+
 def _canonical_edges(n: int, edges, simple_only: bool) -> np.ndarray:
     """Validate endpoints and return edges as an (m, 2) array in key order."""
     arr = np.asarray(edges)
     if arr.size and arr.dtype.kind not in "iu":
         raise GraphError(f"edge endpoints must be integers, got {arr.dtype}")
-    arr = arr.astype(np.int64, order="C", copy=True)
+    arr = arr.astype(np.int64, copy=False)
     if arr.size == 0:
         arr = np.empty((0, 2), dtype=np.int64)
     elif arr.ndim != 2 or arr.shape[1] != 2:
         raise GraphError("edges must be a sequence of pairs")
-    else:
-        if arr.min() < 1 or arr.max() > n:
-            raise GraphError("edge endpoint outside 1..n")
-        u = np.minimum(arr[:, 0], arr[:, 1])
-        v = np.maximum(arr[:, 0], arr[:, 1])
-        if simple_only and _has_loop(u, v):
-            raise GraphError("self-loop not allowed in a simple graph")
-        key = _edge_keys(n, u, v)
-        if simple_only and _has_repeat(key):
-            raise GraphError("duplicate edge not allowed in a simple graph")
-        np.divmod(key, n + 1, out=(arr[:, 0], arr[:, 1]))
-    arr.setflags(write=False)
-    return arr
+    elif arr.min() < 1 or arr.max() > n:
+        raise GraphError("edge endpoint outside 1..n")
+    return _key_rows(n, arr[:, 0], arr[:, 1], simple_only)
+
+
+@dataclass(frozen=True)
+class _Checked:
+    """Edge rows the package built itself: a read-only int64 (m, 2) array
+    in key order that already meets the receiving class's invariants.
+    _EdgeListGraph stores them as given."""
+
+    rows: np.ndarray
 
 
 def _pairing_is_simple(n: int, u: np.ndarray, v: np.ndarray):
@@ -115,13 +135,14 @@ class _EdgeListGraph:
     simple_only = True
 
     def __init__(self, n: int, edges=()):
-        n = int(n)
+        n = _whole("n", n)
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         if n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} over the limit {MAX_VERTICES}")
         self.n = n
-        self.edges = _canonical_edges(n, edges, self.simple_only)
+        self.edges = (edges.rows if isinstance(edges, _Checked)
+                      else _canonical_edges(n, edges, self.simple_only))
 
     @property
     def num_edges(self) -> int:
@@ -313,17 +334,23 @@ def complex_part(g: LabeledGraph) -> GraphSlice:
     return GraphSlice(g, is_complex[labels])
 
 
+# frontiers thinner than this are peeled one vertex at a time: a round of
+# array operations costs about as much as a dozen single-vertex steps
+_THIN_FRONTIER = 16
+
+
 def _peel_to_core(part: GraphSlice) -> GraphSlice:
     """Peel vertices of degree <= 1, one frontier per round; O(order + size).
 
     The frontier is the set of live vertices of degree <= 1, and each
-    round removes all of it with a few array operations, so the number
-    of rounds is the depth of the deepest hanging tree (a pendant path
-    of length L takes L rounds).  xor[v] is the XOR of the live
-    neighbours of v, so a vertex of degree one finds its neighbour as
-    xor[v]; ufunc.at applies the updates of several leaves that share a
-    neighbour.  Two adjacent frontier vertices die in the same round and
-    only update each other.
+    round removes all of it with a few array operations.  xor[v] is the
+    XOR of the live neighbours of v, so a vertex of degree one finds its
+    neighbour as xor[v]; ufunc.at applies the updates of several leaves
+    that share a neighbour.  Two adjacent frontier vertices die in the
+    same round and only update each other.  A frontier never grows, since
+    each leaf frees at most its one live neighbour, so once it is thinner
+    than _THIN_FRONTIER the rest (a thin tail, such as a pendant path) is
+    peeled one vertex at a time on the same arrays.
     """
     hi = int(part.vertices.max(initial=0))
     deg = np.bincount(part.edges.ravel(), minlength=hi + 1)
@@ -334,7 +361,7 @@ def _peel_to_core(part: GraphSlice) -> GraphSlice:
     slot = np.zeros(hi + 1, dtype=np.int64)
 
     frontier = part.vertices[deg[part.vertices] <= 1]
-    while frontier.size:
+    while frontier.size >= _THIN_FRONTIER:
         alive[frontier] = False
         leaves = frontier[deg[frontier] == 1]
         nbrs = xor[leaves]
@@ -346,6 +373,18 @@ def _peel_to_core(part: GraphSlice) -> GraphSlice:
         pos = np.arange(nbrs.size)
         slot[nbrs] = pos
         frontier = nbrs[slot[nbrs] == pos]
+    # a vertex is stacked when its degree falls to one, which happens at
+    # most once, so no vertex is stacked twice
+    stack = frontier.tolist()
+    while stack:
+        y = stack.pop()
+        alive[y] = False
+        if deg[y]:
+            x = int(xor[y])
+            deg[x] -= 1
+            xor[x] ^= y
+            if deg[x] == 1:
+                stack.append(x)
     return GraphSlice(part, alive[1:])
 
 

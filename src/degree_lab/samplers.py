@@ -26,8 +26,9 @@ import numpy as np
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
 from .graphs import (GraphError, GraphSlice, LabeledGraph, MultiGraph,
-                     _complex_components, _edge_keys, _largest_component,
-                     _pairing_is_simple, _whole, has_complex_component)
+                     _Checked, _complex_components, _edge_keys, _key_rows,
+                     _largest_component, _pairing_is_simple, _whole,
+                     has_complex_component)
 
 DEFAULT_GNM_CAP = 10_000
 DEFAULT_CS_CAP = 100_000
@@ -187,11 +188,14 @@ def _complex_order(core: LabeledGraph, q) -> int:
 
 
 def _grow(core: LabeledGraph, q: int, rng) -> tuple:
-    """The core edges stacked on those of a uniform rooted forest on
-    {1..q} rooted at the core vertices, and the forest; neither the core
-    nor q is checked."""
+    """The edges of the core and of a uniform rooted forest on {1..q}
+    rooted at the core vertices, as checked rows, and the forest; neither
+    the core nor q is checked.  The rows need no check: the core is
+    simple, the roots lie in distinct trees, so no forest edge joins two
+    core vertices or repeats a core edge, and the forest is simple."""
     forest = sample_forest(q, core.n, rng)
-    return np.vstack((core.edges, forest.edges)), forest
+    edges = np.concatenate((core.edges, forest.edges))
+    return _Checked(_key_rows(q, edges[:, 0], edges[:, 1])), forest
 
 
 def sample_complex(core: LabeledGraph, q: int, rng=None, *,
@@ -206,8 +210,8 @@ def sample_complex(core: LabeledGraph, q: int, rng=None, *,
     for core vertices.  With return_forest=True the intermediate forest
     comes back alongside the graph.
     """
-    edges, forest = _grow(core, _complex_order(core, q), rng)
-    g = LabeledGraph(q, edges)
+    rows, forest = _grow(core, _complex_order(core, q), rng)
+    g = LabeledGraph(q, rows)
     if return_forest:
         return g, forest
     return g
@@ -300,7 +304,8 @@ def sample_pipeline(spec: PipelineSpec, rng=None, *,
     l = spec.large_order
     r = spec.small_order
     # an empty core block has order 0 and grows an empty forest, drawing nothing
-    blocks = [_grow(large, l, rng)[0], _grow(rest, r, rng)[0] + l]
+    blocks = [_grow(large, l, rng)[0].rows,
+              _grow(rest, r, rng)[0].rows + l]
     if spec.spare_order:
         spare = sample_cs(spec.spare_order, spec.spare_edges, rng)
         blocks.append(spare.edges + (l + r))

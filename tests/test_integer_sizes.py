@@ -1,12 +1,14 @@
-"""Sizes given to the samplers, the bins and the forest counts must be
-integers: a float, whole or not, is refused with ValueError, never
-truncated.  numpy integers are accepted."""
+"""Sizes given to the samplers, the bins, the forest counts, the graph
+constructors and the regime classifier must be integers: a float, whole
+or not, is refused with ValueError, never truncated.  numpy integers are
+accepted."""
 import numpy as np
 import pytest
 
 from degree_lab.bins import (expected_census, loads_from_positions,
                              prefix_max_load, throw_balls, throw_positions)
-from degree_lab.forests import (forest_count, sample_forest,
+from degree_lab.concentration import classify_regime
+from degree_lab.forests import (RootedForest, forest_count, sample_forest,
                                 sample_forest_degrees)
 from degree_lab.graphs import LabeledGraph
 from degree_lab.samplers import (enumerate_gnm, exact_census_gnm,
@@ -33,6 +35,10 @@ K4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     (forest_count, (5.9, 2), "n must be an integer, got 5.9"),
     (sample_forest, (5, 2.0, 0), "t must be an integer, got 2.0"),
     (sample_forest_degrees, (5.0, 2, 0), "n must be an integer, got 5.0"),
+    (LabeledGraph, (10.7,), "n must be an integer, got 10.7"),
+    (RootedForest, (3, 1.9, [(1, 2), (2, 3)]),
+     "t must be an integer, got 1.9"),
+    (classify_regime, (1000.9, 500.5), "n must be an integer, got 1000.9"),
 ], ids=lambda x: x.__name__ if callable(x) else None)
 def test_float_sizes_are_refused(fn, args, message):
     with pytest.raises(ValueError) as info:

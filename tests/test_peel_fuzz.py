@@ -15,8 +15,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degree_lab.graphs import (GraphSlice, LabeledGraph, _peel_to_core,
-                               complex_part)
+from degree_lab.graphs import (_THIN_FRONTIER, GraphSlice, LabeledGraph,
+                               _peel_to_core, complex_part)
 from degree_lab.samplers import sample_complex
 
 K4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
@@ -90,11 +90,16 @@ def test_pendant_paths_off_a_k4(paths, seed):
                           st.integers(1, 2_000)),
                 min_size=1, max_size=6),
        st.integers(0, 2**32 - 1))
+@example([(1, 2, _THIN_FRONTIER - 1)], 0)
+@example([(1, 2, _THIN_FRONTIER)], 0)
+@example([(1, 2, _THIN_FRONTIER + 1)], 0)
 @settings(max_examples=40, deadline=None)
 def test_stars(stars, seed):
     """Star centres hang off a K4 vertex by a path of 0..3 edges (anchor
     0: a free star, a whole tree); all the leaves of a star die in the
-    first round and its centre in the second."""
+    first round and its centre in the second.  The three examples put
+    just under, at and just over _THIN_FRONTIER leaves on one star, so
+    its leaves are peeled one at a time or as one round."""
     edges, n = list(K4), 4
     for anchor, stem, leaves in stars:
         path = list(range(n + 1, n + stem + 2))
