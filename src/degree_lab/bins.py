@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .graphs import MAX_VERTICES, _whole
+from .graphs import MAX_VERTICES, _at_least, _whole
 
 
 def _bin_count(n) -> int:
@@ -24,12 +24,8 @@ def _bin_count(n) -> int:
 
 def throw_positions(n: int, k: int, rng=None) -> np.ndarray:
     """Landing bins of k balls, one entry per ball, each uniform on 1..n."""
-    n = _bin_count(n)
-    k = _whole("k", k)
-    if n < 1:
-        raise ValueError("need at least one bin")
-    if k < 0:
-        raise ValueError("ball count must be non-negative")
+    n = _at_least("n", _bin_count(n), 1)
+    k = _at_least("k", k, 0)
     rng = np.random.default_rng(rng)
     return rng.integers(1, n + 1, size=k)
 
@@ -37,7 +33,11 @@ def throw_positions(n: int, k: int, rng=None) -> np.ndarray:
 def loads_from_positions(n: int, positions: np.ndarray) -> np.ndarray:
     """Load vector: entry j is the number of balls that landed in bin j + 1."""
     n = _bin_count(n)
-    positions = np.asarray(positions, dtype=np.int64)
+    positions = np.asarray(positions)
+    if positions.size and positions.dtype.kind not in "iu":
+        raise ValueError(
+            f"ball positions must be integers, got {positions.dtype}")
+    positions = positions.astype(np.int64, copy=False)
     if positions.size and (positions.min() < 1 or positions.max() > n):
         raise ValueError("ball position outside 1..n")
     return np.bincount(positions, minlength=n + 1)[1:]
@@ -76,13 +76,9 @@ def expected_census(n: int, k: int, load: int) -> float:
     Equals n * C(k, load) * (1/n)**load * (1 - 1/n)**(k - load),
     evaluated in log space so large n and k are safe.
     """
-    n = _whole("n", n)
-    k = _whole("k", k)
+    n = _at_least("n", n, 1)
+    k = _at_least("k", k, 0)
     load = _whole("load", load)
-    if n < 1:
-        raise ValueError("need at least one bin")
-    if k < 0:
-        raise ValueError("ball count must be non-negative")
     if load < 0 or load > k:
         return 0.0
     if n == 1:

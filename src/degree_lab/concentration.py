@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import _whole
+from .graphs import _at_least
 
 REGIME_BELOW = "I"
 REGIME_WINDOW = "II"
@@ -30,15 +30,21 @@ OUT_OF_SCOPE = "out-of-scope"
 _MAX_BRACKET = 1e300
 
 
+def _positive(x) -> float:
+    """x as a float, refused unless it is positive."""
+    x = float(x)
+    if x <= 0.0:
+        raise ValueError("x must be positive")
+    return x
+
+
 def load_objective(x: float, n: float, k: float) -> float:
     """Objective whose positive root is the typical maximum load.
 
     Strictly positive at x = 1 whenever ln k > -1, eventually negative,
     and has exactly one sign change on (1, infinity).
     """
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("x must be positive")
+    x = _positive(x)
     return (x * math.log(k) + x - (x + 0.5) * math.log(x)
             - (x - 1.0) * math.log(n))
 
@@ -49,9 +55,7 @@ def log_ball_count(x: float, n: float) -> float:
     Inverse view of typical_max_load in its second argument:
     log_ball_count(typical_max_load(n, k), n) == log(k).
     """
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("x must be positive")
+    x = _positive(x)
     return (1.0 + 0.5 / x) * math.log(x) + (1.0 - 1.0 / x) * math.log(n) - 1.0
 
 
@@ -61,9 +65,7 @@ def log_bin_count(x: float) -> float:
     Inverse view of the balanced case:
     typical_max_load(exp(log_bin_count(x))) == x.
     """
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("x must be positive")
+    x = _positive(x)
     return (x + 0.5) * math.log(x) - x
 
 
@@ -148,12 +150,8 @@ def classify_regime(n: int, m: int, *, linear_cap: float = 0.05,
 
     checked in that order; anything else is "out-of-scope".
     """
-    n = _whole("n", n)
-    m = _whole("m", m)
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if m < 0:
-        raise ValueError("edge count must be non-negative")
+    n = _at_least("n", n, 1)
+    m = _at_least("m", m, 0)
     s = m - n / 2.0
     if s <= n ** (2.0 / 3.0):
         return REGIME_BELOW

@@ -20,6 +20,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from sys import float_info
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -326,7 +327,7 @@ def _checked_spec(cfg: ExperimentConfig) -> KindSpec:
         if value is None:
             if flag.required:
                 raise ValueError(f"kind={cfg.kind!r} needs {flag.field}")
-        elif flag.type in (int, float) and not math.isfinite(value):
+        elif flag.type in (int, float) and not abs(value) <= float_info.max:
             raise ValueError(f"kind={cfg.kind!r} needs a finite "
                              f"{flag.field}, got {value}")
         elif flag.low is not None and value < flag.low:

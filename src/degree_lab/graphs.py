@@ -56,6 +56,14 @@ def _whole(name: str, x) -> int:
         raise ValueError(f"{name} must be an integer, got {x}") from None
 
 
+def _at_least(name: str, x, low: int) -> int:
+    """x as an int by _whole, refused below low."""
+    x = _whole(name, x)
+    if x < low:
+        raise ValueError(f"{name} must be at least {low}, got {x}")
+    return x
+
+
 def _edge_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Keys u * (n + 1) + v of the edges (u[..., i], v[..., i]), u <= v,
     sorted along the last axis."""

@@ -26,9 +26,9 @@ import numpy as np
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
 from .graphs import (GraphError, GraphSlice, LabeledGraph, MultiGraph,
-                     _Checked, _complex_components, _edge_keys, _key_rows,
-                     _largest_component, _pairing_is_simple, _whole,
-                     has_complex_component)
+                     _at_least, _Checked, _complex_components, _edge_keys,
+                     _key_rows, _largest_component, _pairing_is_simple,
+                     _whole, has_complex_component)
 
 DEFAULT_GNM_CAP = 10_000
 DEFAULT_CS_CAP = 100_000
@@ -58,10 +58,8 @@ def _draw_pairing(n: int, m: int, rows: int,
 
 def _gnm_size(n, m) -> tuple[int, int]:
     """n and m as ints, checked as the order and size of a simple graph."""
-    n = _whole("n", n)
+    n = _at_least("n", n, 1)
     m = _whole("m", m)
-    if n < 1:
-        raise ValueError("need at least one vertex")
     if not 0 <= m <= comb(n, 2):
         raise ValueError(f"no simple graph on n = {n} vertices has m = {m} edges")
     return n, m
@@ -97,12 +95,8 @@ def sample_multigraph(n: int, m: int, rng=None) -> MultiGraph:
     2m-ball throw, so with equal seeds the degree sequence matches
     throw_balls(n, 2 * m, seed).
     """
-    n = _whole("n", n)
-    m = _whole("m", m)
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if m < 0:
-        raise ValueError("edge count must be non-negative")
+    n = _at_least("n", n, 1)
+    m = _at_least("m", m, 0)
     rng = np.random.default_rng(rng)
     u, v = _draw_pairing(n, m, 1, rng)
     return MultiGraph(n, np.column_stack((u[0], v[0])))
@@ -138,8 +132,8 @@ def sample_cs_counted(n: int, m: int, rng=None, *,
     class.  Feasible complex-free graphs need m <= n; the loop is only
     fast for m near n/2 or below.
     """
-    n = _whole("n", n)
-    m = _whole("m", m)
+    n = _at_least("n", n, 1)
+    m = _at_least("m", m, 0)
     if m > n:
         raise ValueError(f"a complex-free graph has at most n = {n} edges, "
                          f"got m = {m}")
@@ -181,10 +175,7 @@ def _complex_order(core: LabeledGraph, q) -> int:
     validate_core_graph(core)
     if core.n == 0:
         raise ValueError("core must be non-empty")
-    q = _whole("q", q)
-    if q < core.n:
-        raise ValueError("q must be at least the core order")
-    return q
+    return _at_least("q", q, core.n)
 
 
 def _grow(core: LabeledGraph, q: int, rng) -> tuple:
@@ -371,9 +362,7 @@ def exact_census_gnm(n: int, m: int, trials: int,
     trips whenever trials < graph_count.
     """
     n, m = _gnm_size(n, m)
-    trials = _whole("trials", trials)
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
+    trials = _at_least("trials", trials, 0)
     graphs = enumerate_gnm(n, m)
     total = len(graphs)
     edges = np.stack([g.edges for g in graphs])

@@ -71,6 +71,29 @@ class TestLoadsFromPositions:
         with pytest.raises(ValueError):
             loads_from_positions(3, np.array([4]))
 
+    @pytest.mark.parametrize("positions, dtype", [
+        ([1.5, 2], "float64"),
+        ([1.0, 2.0], "float64"),
+        (np.array([1.0, 3.0]), "float64"),
+        (np.array([1, 2], dtype=np.float32), "float32"),
+        (np.array([True, True]), "bool"),
+        ([True], "bool"),
+    ])
+    def test_rejects_non_integer_positions(self, positions, dtype):
+        with pytest.raises(ValueError) as info:
+            loads_from_positions(3, positions)
+        assert str(info.value) == f"ball positions must be integers, got {dtype}"
+
+    @pytest.mark.parametrize("positions, loads", [
+        ([], [0, 0, 0]),
+        (np.array([]), [0, 0, 0]),
+        ([3, 1, 3], [1, 0, 2]),
+        (np.array([2, 2], dtype=np.uint8), [0, 2, 0]),
+        (np.array([1, 3], dtype=np.int32), [1, 0, 1]),
+    ])
+    def test_accepts_integer_positions(self, positions, loads):
+        assert loads_from_positions(3, positions).tolist() == loads
+
 
 class TestMaxAndPrefix:
     def test_max(self):

@@ -24,6 +24,9 @@ from degree_lab.cli import main
     (["nu", "--n", "0.5"], "n"),
     (["nu", "--n", "-5"], "n"),
     (["nu", "--n", "10", "--k", "0.5"], "k"),
+    (["gnm", "--n", str(10**400), "--m", "2", "--trials", "1"], "n"),
+    (["bins", "--n", "10", "--k", "10", "--trials", str(10**400)], "trials"),
+    (["forest", "--n", "10", "--t", str(-10**400)], "t"),
 ])
 def test_bad_input_is_a_usage_error_naming_it(argv, name, capsys):
     code = main(argv)

@@ -1,13 +1,15 @@
 """Dead code in src/degree_lab, found with the standard-library ast module.
 
-Three checks stand in for a linter:
+Four checks stand in for a linter:
 
 - every name a module imports is used in it, or listed in its __all__
   (the package __init__ only re-exports, so it is exempt);
 - every private module-level name (one leading underscore) defined in
   src/degree_lab is referenced somewhere in src/ or tests/;
 - every name a module lists in its __all__ is defined in it, not merely
-  imported (again the package __init__ is exempt).
+  imported (again the package __init__ is exempt);
+- each refusal is written once: no message template is raised from more
+  than one function.
 """
 import ast
 from pathlib import Path
@@ -114,3 +116,46 @@ def test_every_exported_name_is_defined():
                       if name not in definitions(tree)]
     assert not undefined, ("__all__ names not defined in their module: "
                            + ", ".join(undefined))
+
+
+def template(node: ast.expr) -> str | None:
+    """A message as written: a string literal, or an f-string with each
+    of its fields replaced by {}; None for any other expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in node.values)
+    return None
+
+
+def raised_templates(tree: ast.Module) -> set[tuple[str, str]]:
+    """(template, function) for each raise of an exception built from a
+    message, by the innermost function that holds the raise."""
+    found = set()
+
+    def visit(node: ast.AST, func: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Raise)
+                    and isinstance(child.exc, ast.Call) and child.exc.args):
+                text = template(child.exc.args[0])
+                if text is not None:
+                    found.add((text, func))
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_each_refusal_is_written_once():
+    raisers: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for text, func in raised_templates(parse(path)):
+            raisers.setdefault(text, set()).add(f"{path.stem}.{func}")
+    repeated = [f"{text!r} in {', '.join(sorted(funcs))}"
+                for text, funcs in sorted(raisers.items()) if len(funcs) > 1]
+    assert not repeated, ("messages raised from more than one function: "
+                          + "; ".join(repeated))

@@ -1,7 +1,8 @@
 """Sizes given to the samplers, the bins, the forest counts, the graph
 constructors and the regime classifier must be integers: a float, whole
 or not, is refused with ValueError, never truncated.  numpy integers are
-accepted."""
+accepted.  A size below its lower bound is refused with one message,
+"<name> must be at least <bound>, got <value>"."""
 import numpy as np
 import pytest
 
@@ -44,6 +45,32 @@ def test_float_sizes_are_refused(fn, args, message):
     with pytest.raises(ValueError) as info:
         fn(*args)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (sample_multigraph, (0, 1, 0), "n must be at least 1, got 0"),
+    (sample_gnm, (0, 0, 0), "n must be at least 1, got 0"),
+    (throw_positions, (0, 3, 0), "n must be at least 1, got 0"),
+    (sample_multigraph, (3, -1, 0), "m must be at least 0, got -1"),
+    (classify_regime, (5, -1), "m must be at least 0, got -1"),
+    (expected_census, (5, -1, 0), "k must be at least 0, got -1"),
+    (exact_census_gnm, (4, 3, -1, 0), "trials must be at least 0, got -1"),
+    (sample_complex, (LabeledGraph(4, K4), 3, 0),
+     "q must be at least 4, got 3"),
+], ids=lambda x: x.__name__ if callable(x) else None)
+def test_sizes_below_their_bound_are_refused(fn, args, message):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert str(info.value) == message
+
+
+def test_cs_refuses_its_sizes_before_any_draw():
+    # with a cap of 0 no G(n, m) draw is made, so only cs itself can refuse
+    for n, m, message in [(5, -1, "m must be at least 0, got -1"),
+                          (0, 0, "n must be at least 1, got 0")]:
+        with pytest.raises(ValueError) as info:
+            sample_cs(n, m, 0, max_attempts=0)
+        assert str(info.value) == message
 
 
 def test_numpy_integer_sizes_are_accepted():
