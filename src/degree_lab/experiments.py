@@ -30,7 +30,7 @@ from .concentration import (predicted_interval, two_point_prediction,
                             typical_max_load)
 from .edgelist import _read_simple_graph
 from .forests import sample_forest_degrees
-from .graphs import LabeledGraph, core_of, split
+from .graphs import LabeledGraph, _whole, core_of, split
 from .samplers import (PipelineSpec, SamplingCapExceeded, exact_census_gnm,
                        sample_complex, sample_cs_counted, sample_gnm_counted,
                        sample_pipeline)
@@ -90,7 +90,8 @@ class Flag:
 
     `type` parses the flag (bool makes it a switch); `load` turns the
     parsed value into the field value.  A numeric field must be finite
-    and at least `low`; a required one must be set.
+    and at least `low`, an int one an integer (a float is refused, never
+    truncated); a required one must be set.
     """
 
     name: str
@@ -327,10 +328,13 @@ def _checked_spec(cfg: ExperimentConfig) -> KindSpec:
         if value is None:
             if flag.required:
                 raise ValueError(f"kind={cfg.kind!r} needs {flag.field}")
-        elif flag.type in (int, float) and not abs(value) <= float_info.max:
+            continue
+        if flag.type is int:
+            _whole(flag.field, value)
+        if flag.type in (int, float) and not abs(value) <= float_info.max:
             raise ValueError(f"kind={cfg.kind!r} needs a finite "
                              f"{flag.field}, got {value}")
-        elif flag.low is not None and value < flag.low:
+        if flag.low is not None and value < flag.low:
             raise ValueError(f"kind={cfg.kind!r} needs {flag.field} >= "
                              f"{flag.low}, got {value}")
     if cfg.threshold is not None and not 0.0 <= cfg.threshold <= 1.0:
@@ -346,13 +350,14 @@ def _trial_report(cfg: ExperimentConfig, spec: KindSpec,
         params["eps"] = cfg.epsilon
     params["threshold"] = threshold
 
-    seeds = [trial_seed(cfg.master_seed, i) for i in range(cfg.trials)]
+    seeds: list[int] = []  # each derived when its trial comes up
     stats: list[int | None] = []
     checks: dict[str, int] = {}
     attempts = 0
-    for seed in seeds:
+    for i in range(cfg.trials):
+        seeds.append(trial_seed(cfg.master_seed, i))
         try:
-            stat, passed, tries = window.trial(seed)
+            stat, passed, tries = window.trial(seeds[-1])
         except SamplingCapExceeded as exc:
             stats.append(None)
             attempts += exc.attempts

@@ -402,12 +402,13 @@ def core_of(g: LabeledGraph) -> GraphSlice:
 
 
 def split(g: LabeledGraph) -> Decomposition:
-    """Three-way decomposition (large complex, small complex, rest) + core."""
+    """Three-way decomposition (large complex, small complex, rest) + core
+    of a LabeledGraph or MultiGraph, ranking core vertices only."""
     labels, is_complex = _complex_components(g)
     in_complex = is_complex[labels]
     core = _peel_to_core(GraphSlice(g, in_complex))
-    hi = int(core.vertices.max(initial=0))
-    best = np.flatnonzero(_largest_component(hi, core.edges)) + 1
+    best = core.vertices[_largest_component(
+        core.order, np.searchsorted(core.vertices, core.edges) + 1)]
     # best's component, none for an empty core; kind="sort" compares with
     # the one label directly instead of building a table over all labels
     in_large = np.isin(labels, labels[best[:1] - 1], kind="sort")

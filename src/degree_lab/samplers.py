@@ -25,10 +25,9 @@ import numpy as np
 
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
-from .graphs import (GraphError, GraphSlice, LabeledGraph, MultiGraph,
-                     _at_least, _Checked, _complex_components, _edge_keys,
-                     _key_rows, _largest_component, _pairing_is_simple,
-                     _whole, has_complex_component)
+from .graphs import (GraphError, LabeledGraph, MultiGraph, _at_least,
+                     _Checked, _complex_components, _edge_keys, _key_rows,
+                     _pairing_is_simple, _whole, has_complex_component, split)
 
 DEFAULT_GNM_CAP = 10_000
 DEFAULT_CS_CAP = 100_000
@@ -221,12 +220,11 @@ def sample_complex_degrees(core: LabeledGraph, q: int, rng=None) -> np.ndarray:
 
 
 def _core_blocks(core: LabeledGraph) -> tuple[LabeledGraph, LabeledGraph]:
-    """The largest component of a core, as split picks it, and the rest,
-    each relabeled onto {1..order} in increasing label order."""
-    vmask = _largest_component(core.n, core.edges)
-    parts = GraphSlice(core, vmask), GraphSlice(core, ~vmask)
+    """split(core)'s large and small complex parts, each relabeled onto
+    {1..order} in increasing label order."""
+    parts = split(core)
     return tuple(LabeledGraph(p.order, np.searchsorted(p.vertices, p.edges) + 1)
-                 for p in parts)
+                 for p in (parts.large_complex, parts.small_complex))
 
 
 @dataclass(frozen=True)
