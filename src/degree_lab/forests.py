@@ -10,9 +10,17 @@ The encoding repeatedly removes the leaf with the largest label and
 records its neighbour.  The largest leaf is never a root: a root of
 degree one shares its tree with a second leaf, and that leaf, not being
 a root, carries a larger label.  Decoding reverses the process from the
-multiset of recorded neighbours.  Both directions take one linear pass,
-whose pointer to the largest leaf only moves down.  Sequences are 1-D
-int64 arrays; encode_forest returns a tuple of ints.
+multiset of recorded neighbours.
+
+Each direction is one flat loop over the same pointer rule, stated here
+once.  A pointer scans the labels downward for a vertex of degree one,
+and never moves up.  When a removal leaves the removed leaf's neighbour
+x with degree one and x lies above the pointer, x is the largest leaf
+and goes next; otherwise the pointer moves down to the next vertex of
+degree one.  So each pass is linear.  The encoding finds a leaf's
+neighbour as the XOR of its neighbours not yet removed, the decoding
+reads it off the sequence, and neither loop calls a function per step.
+Sequences are 1-D int64 arrays; encode_forest returns a tuple of ints.
 
 Degrees can be read off a sequence without decoding: a vertex appears
 in the sequence once per removed neighbour, and every non-root is
@@ -102,20 +110,23 @@ def _validate_sequence(n: int, t: int, seq) -> np.ndarray:
     return seq
 
 
-def _remove_largest_leaves(degrees: np.ndarray, neighbour):
-    """Leaves in largest-leaf removal order, and neighbour(leaf) of each;
-    degrees[v - 1] is the degree of v."""
+def encode_forest(forest: RootedForest) -> tuple[int, ...]:
+    """Neighbour sequence of the repeated largest-leaf removal."""
+    # a leaf's one neighbour is the XOR of its neighbours not yet removed
+    xor = np.zeros(forest.n + 1, dtype=np.int64)
+    np.bitwise_xor.at(xor, forest.edges, forest.edges[:, ::-1])
+    xor = xor.tolist()
     # deg[0] = 1 stops the pointer at 0, ending the loop, after the last edge
-    deg = [1] + degrees.tolist()
-    ptr = len(deg) - 1
+    deg = [1] + forest.degree_sequence().tolist()
+    ptr = forest.n
     while deg[ptr] != 1:
         ptr -= 1
     leaf = ptr
-    leaves, neighbours = [], []
+    seq = []
     while leaf:
-        x = neighbour(leaf)
-        leaves.append(leaf)
-        neighbours.append(x)
+        x = xor[leaf]
+        xor[x] ^= leaf
+        seq.append(x)
         deg[x] -= 1
         if deg[x] == 1 and x > ptr:
             leaf = x
@@ -124,22 +135,7 @@ def _remove_largest_leaves(degrees: np.ndarray, neighbour):
             while deg[ptr] != 1:
                 ptr -= 1
             leaf = ptr
-    return leaves, neighbours
-
-
-def encode_forest(forest: RootedForest) -> tuple[int, ...]:
-    """Neighbour sequence of the repeated largest-leaf removal."""
-    # a leaf's one neighbour is the XOR of its neighbours not yet removed
-    xor = np.zeros(forest.n + 1, dtype=np.int64)
-    np.bitwise_xor.at(xor, forest.edges, forest.edges[:, ::-1])
-    xor = xor.tolist()
-
-    def detach(leaf):
-        x = xor[leaf]
-        xor[x] ^= leaf
-        return x
-
-    return tuple(_remove_largest_leaves(forest.degree_sequence(), detach)[1])
+    return tuple(seq)
 
 
 def decode_sequence(n: int, t: int, seq) -> RootedForest:
@@ -147,8 +143,23 @@ def decode_sequence(n: int, t: int, seq) -> RootedForest:
     forest, so its edges reach RootedForest as checked rows."""
     degrees = degrees_from_sequence(n, t, seq)  # checks n, t and seq
     seq = np.asarray(seq, dtype=np.int64)
-    entries = iter(seq.tolist())
-    leaves, _ = _remove_largest_leaves(degrees, lambda leaf: next(entries))
+    # deg[0] = 1 stops the pointer at 0 after the last entry
+    deg = [1] + degrees.tolist()
+    ptr = n
+    while deg[ptr] != 1:
+        ptr -= 1
+    leaf = ptr
+    leaves = []
+    for x in seq.tolist():
+        leaves.append(leaf)
+        deg[x] -= 1
+        if deg[x] == 1 and x > ptr:
+            leaf = x
+        else:
+            ptr -= 1
+            while deg[ptr] != 1:
+                ptr -= 1
+            leaf = ptr
     leaves = np.fromiter(leaves, dtype=np.int64, count=len(leaves))
     return RootedForest(n, t, _Checked(_key_rows(n, seq, leaves)))
 

@@ -24,7 +24,12 @@ sorting or checking again.
 The decomposition kernels are array operations with no sort over the
 vertices: component labels come from one scipy pass over the canonical
 rows (see _components), and the core peel removes a whole frontier of
-degree <= 1 vertices per round (see _peel_to_core).
+degree <= 1 vertices per round (see _peel_to_core).  core_of peels
+first and labels only what is left: peeling keeps each component's
+excess, so the components of the 2-core are the bare cycles left by the
+unicyclic components (excess 0) and the cores of the complex ones.
+split keeps the other order, a component pass and then a peel of the
+complex part alone, because it needs the whole partition.
 """
 from __future__ import annotations
 
@@ -315,10 +320,16 @@ def classify_component(vertex_count: int, edge_count: int) -> str:
     return COMPLEX
 
 
-def _complex_components(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+def _complex_components(n: int, edges: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Component label per vertex, and which components are complex."""
-    labels, vcounts, ecounts = _component_stats(g.n, g.edges)
+    labels, vcounts, ecounts = _component_stats(n, edges)
     return labels, ecounts >= vcounts + 1
+
+
+def _compact_edges(part: GraphSlice) -> np.ndarray:
+    """The slice's edges relabeled onto 1..order in increasing label order."""
+    return np.searchsorted(part.vertices, part.edges) + 1
 
 
 def _largest_component(n: int, edges: np.ndarray) -> np.ndarray:
@@ -333,12 +344,12 @@ def _largest_component(n: int, edges: np.ndarray) -> np.ndarray:
 
 
 def has_complex_component(g: LabeledGraph) -> bool:
-    return bool(_complex_components(g)[1].any())
+    return bool(_complex_components(g.n, g.edges)[1].any())
 
 
 def complex_part(g: LabeledGraph) -> GraphSlice:
     """Union of all components with excess >= 1, labels preserved."""
-    labels, is_complex = _complex_components(g)
+    labels, is_complex = _complex_components(g.n, g.edges)
     return GraphSlice(g, is_complex[labels])
 
 
@@ -347,8 +358,11 @@ def complex_part(g: LabeledGraph) -> GraphSlice:
 _THIN_FRONTIER = 16
 
 
-def _peel_to_core(part: GraphSlice) -> GraphSlice:
+def _peel_to_core(part, vertices=None) -> GraphSlice:
     """Peel vertices of degree <= 1, one frontier per round; O(order + size).
+
+    part is a GraphSlice, or any graph with its increasing vertex labels
+    given as vertices; the result is a slice of part.
 
     The frontier is the set of live vertices of degree <= 1, and each
     round removes all of it with a few array operations.  xor[v] is the
@@ -360,15 +374,17 @@ def _peel_to_core(part: GraphSlice) -> GraphSlice:
     than _THIN_FRONTIER the rest (a thin tail, such as a pendant path) is
     peeled one vertex at a time on the same arrays.
     """
-    hi = int(part.vertices.max(initial=0))
+    if vertices is None:
+        vertices = part.vertices
+    hi = int(vertices.max(initial=0))
     deg = np.bincount(part.edges.ravel(), minlength=hi + 1)
     xor = np.zeros(hi + 1, dtype=np.int64)
     np.bitwise_xor.at(xor, part.edges, part.edges[:, ::-1])
     alive = np.zeros(hi + 1, dtype=bool)
-    alive[part.vertices] = True
+    alive[vertices] = True
     slot = np.zeros(hi + 1, dtype=np.int64)
 
-    frontier = part.vertices[deg[part.vertices] <= 1]
+    frontier = vertices[deg[vertices] <= 1]
     while frontier.size >= _THIN_FRONTIER:
         alive[frontier] = False
         leaves = frontier[deg[frontier] == 1]
@@ -397,18 +413,33 @@ def _peel_to_core(part: GraphSlice) -> GraphSlice:
 
 
 def core_of(g: LabeledGraph) -> GraphSlice:
-    """Maximal subgraph of the complex part with minimum degree >= 2."""
-    return _peel_to_core(complex_part(g))
+    """Maximal subgraph of the complex part with minimum degree >= 2.
+
+    Peels all of g first, then labels only what is left.  Peeling a
+    vertex of degree one removes one vertex and one edge and keeps its
+    component connected, so each component keeps its excess: a tree
+    vanishes (its last vertex has degree 0), a unicyclic component
+    leaves a bare cycle, and a complex component leaves its connected
+    core.  A 2-core component of excess 0 has minimum degree 2 and as
+    many edges as vertices, so the bare cycles are exactly what the
+    unicyclic components leave, and the components of excess >= 1 are
+    the core of the complex part.
+    """
+    core = _peel_to_core(g, np.arange(1, g.n + 1))
+    labels, is_complex = _complex_components(core.order, _compact_edges(core))
+    keep = np.zeros(g.n, dtype=bool)
+    keep[core.vertices[is_complex[labels]] - 1] = True
+    return GraphSlice(core, keep)
 
 
 def split(g: LabeledGraph) -> Decomposition:
     """Three-way decomposition (large complex, small complex, rest) + core
     of a LabeledGraph or MultiGraph, ranking core vertices only."""
-    labels, is_complex = _complex_components(g)
+    labels, is_complex = _complex_components(g.n, g.edges)
     in_complex = is_complex[labels]
     core = _peel_to_core(GraphSlice(g, in_complex))
-    best = core.vertices[_largest_component(
-        core.order, np.searchsorted(core.vertices, core.edges) + 1)]
+    best = core.vertices[_largest_component(core.order,
+                                            _compact_edges(core))]
     # best's component, none for an empty core; kind="sort" compares with
     # the one label directly instead of building a table over all labels
     in_large = np.isin(labels, labels[best[:1] - 1], kind="sort")

@@ -26,8 +26,9 @@ import numpy as np
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
 from .graphs import (GraphError, LabeledGraph, MultiGraph, _at_least,
-                     _Checked, _complex_components, _edge_keys, _key_rows,
-                     _pairing_is_simple, _whole, has_complex_component, split)
+                     _Checked, _compact_edges, _complex_components,
+                     _edge_keys, _key_rows, _pairing_is_simple, _whole,
+                     has_complex_component, split)
 
 DEFAULT_GNM_CAP = 10_000
 DEFAULT_CS_CAP = 100_000
@@ -165,7 +166,7 @@ def validate_core_graph(g: LabeledGraph) -> None:
     """
     if g.degree_sequence().min(initial=2) < 2:
         raise GraphError("core graph needs minimum degree 2")
-    if not _complex_components(g)[1].all():
+    if not _complex_components(g.n, g.edges)[1].all():
         raise GraphError("every core component needs excess >= 1")
 
 
@@ -182,10 +183,22 @@ def _grow(core: LabeledGraph, q: int, rng) -> tuple:
     rooted at the core vertices, as checked rows, and the forest; neither
     the core nor q is checked.  The rows need no check: the core is
     simple, the roots lie in distinct trees, so no forest edge joins two
-    core vertices or repeats a core edge, and the forest is simple."""
+    core vertices or repeats a core edge, and the forest is simple.
+
+    Both row sets come in key order, so the core rows are merged into
+    the forest rows, not sorted with them.  A forest row (u, x) from a
+    core vertex u has x > v(core), past every core row (u, v), so each
+    core row goes before the forest rows with its u.  Core rows have
+    u <= v(core), so they land among the forest rows from core vertices,
+    which come first; the rest of the forest rows is copied as it is."""
     forest = sample_forest(q, core.n, rng)
-    edges = np.concatenate((core.edges, forest.edges))
-    return _Checked(_key_rows(q, edges[:, 0], edges[:, 1])), forest
+    head = forest.edges[:np.searchsorted(forest.edges[:, 0], core.n,
+                                         side="right")]
+    at = np.searchsorted(head[:, 0], core.edges[:, 0], side="left")
+    rows = np.concatenate((np.insert(head, at, core.edges, axis=0),
+                           forest.edges[head.shape[0]:]))
+    rows.setflags(write=False)
+    return _Checked(rows), forest
 
 
 def sample_complex(core: LabeledGraph, q: int, rng=None, *,
@@ -223,7 +236,7 @@ def _core_blocks(core: LabeledGraph) -> tuple[LabeledGraph, LabeledGraph]:
     """split(core)'s large and small complex parts, each relabeled onto
     {1..order} in increasing label order."""
     parts = split(core)
-    return tuple(LabeledGraph(p.order, np.searchsorted(p.vertices, p.edges) + 1)
+    return tuple(LabeledGraph(p.order, _compact_edges(p))
                  for p in (parts.large_complex, parts.small_complex))
 
 
@@ -298,12 +311,15 @@ def sample_pipeline(spec: PipelineSpec, rng=None, *,
     if spec.spare_order:
         spare = sample_cs(spec.spare_order, spec.spare_edges, rng)
         blocks.append(spare.edges + (l + r))
-    edges = np.vstack(blocks)
+    # canonical blocks on increasing label ranges stack in key order, and
+    # a relabeling keeps a simple graph simple, so no row needs a check
+    rows = np.vstack(blocks)
     if shuffle_labels:
         perm = np.empty(spec.n + 1, dtype=np.int64)
         perm[1:] = rng.permutation(spec.n) + 1
-        edges = perm[edges]
-    return LabeledGraph(spec.n, edges)
+        rows = _key_rows(spec.n, perm[rows[:, 0]], perm[rows[:, 1]])
+    rows.setflags(write=False)
+    return LabeledGraph(spec.n, _Checked(rows))
 
 
 @dataclass(frozen=True)
