@@ -13,8 +13,9 @@ canonical array: rows (u, v) with u <= v, read-only, sorted by the key
 u * (n + 1) + v (by u, then by v); n is at most MAX_VERTICES, so that
 the keys fit in int64.  Edges from outside (files, lists, arrays) are
 checked on every construction; rows the package drew itself, a decoded
-forest or a grown complex graph, arrive checked (_Checked) and are
-stored as given.  A GraphSlice is the subgraph of a host picked
+forest, a grown complex graph or a simple pairing split from the keys
+its simplicity test sorted, arrive checked (_Checked) and are stored as
+given.  A GraphSlice is the subgraph of a host picked
 by a vertex mask: the picked vertices, with their original labels, and
 the host edges whose endpoints are both picked.  Rows taken from a
 canonical array stay canonical, so complex_part, core_of and split cut
@@ -30,6 +31,16 @@ excess, so the components of the 2-core are the bare cycles left by the
 unicyclic components (excess 0) and the cores of the complex ones.
 split keeps the other order, a component pass and then a peel of the
 complex part alone, because it needs the whole partition.
+
+has_complex_component needs no label per vertex, only a yes or no, so
+it strips the leaves before its one component pass: a single array pass
+drops every vertex of degree <= 1 with its edges, and no loop follows.
+That keeps each component's excess class.  A vertex of degree 0 is a
+tree on its own; two adjacent vertices of degree 1 are a K2 component,
+also a tree, and vanish together; every other vertex of degree 1 hangs
+off a neighbour that stays, so dropping it takes one vertex and one
+edge from a component that stays connected.  A loop counts 2 towards
+its vertex's degree, so the rule holds on multigraphs too.
 """
 from __future__ import annotations
 
@@ -97,6 +108,12 @@ def _key_rows(n: int, a: np.ndarray, b: np.ndarray,
     key = _edge_keys(n, u, v)
     if simple_only and _has_repeat(key):
         raise GraphError("duplicate edge not allowed in a simple graph")
+    return _split_keys(n, key)
+
+
+def _split_keys(n: int, key: np.ndarray) -> np.ndarray:
+    """The edges with sorted keys u * (n + 1) + v as read-only int64 rows
+    (u, v), in key order."""
     rows = np.empty((key.size, 2), dtype=np.int64)
     np.divmod(key, n + 1, out=(rows[:, 0], rows[:, 1]))
     rows.setflags(write=False)
@@ -128,13 +145,16 @@ class _Checked:
 
 
 def _pairing_is_simple(n: int, u: np.ndarray, v: np.ndarray):
-    """True when the edges (u[..., i], v[..., i]), u <= v, hold no loop and
-    no repeat; one answer per row of a block of pairings.  The keys are
-    sorted only when some row has no loop."""
+    """Whether the edges (u[..., i], v[..., i]), u <= v, hold no loop and
+    no repeat, one answer per row of a block of pairings, and the rows'
+    sorted keys (_edge_keys).  The keys are sorted only when some row has
+    no loop; otherwise they come back as None."""
     simple = ~_has_loop(u, v)
+    key = None
     if simple.any():
-        simple &= ~_has_repeat(_edge_keys(n, u, v))
-    return simple
+        key = _edge_keys(n, u, v)
+        simple &= ~_has_repeat(key)
+    return simple, key
 
 
 class _EdgeListGraph:
@@ -196,7 +216,7 @@ class MultiGraph(_EdgeListGraph):
 
     def is_simple(self) -> bool:
         return bool(_pairing_is_simple(self.n, self.edges[:, 0],
-                                       self.edges[:, 1]))
+                                       self.edges[:, 1])[0])
 
 
 class GraphSlice(_EdgeListGraph):
@@ -344,7 +364,20 @@ def _largest_component(n: int, edges: np.ndarray) -> np.ndarray:
 
 
 def has_complex_component(g: LabeledGraph) -> bool:
-    return bool(_complex_components(g.n, g.edges)[1].any())
+    """Whether some component of g has excess >= 1, on multigraphs too.
+
+    Drops every vertex of degree <= 1 with its edges in one pass, ranks
+    the rest onto 1..k in label order (which keeps the rows canonical),
+    and runs the one component pass on what is left.  No component
+    changes its excess class: a vertex of degree 0 is a tree, two
+    adjacent vertices of degree 1 are a K2, also a tree, and each other
+    vertex of degree 1 takes one vertex and one edge from a component
+    that stays connected.  This is one round, not the full peel.
+    """
+    inner = np.bincount(g.edges.ravel(), minlength=g.n + 1) > 1
+    edges = g.edges[inner[g.edges[:, 0]] & inner[g.edges[:, 1]]]
+    rank = np.cumsum(inner)  # inner[0] is False: labels start at 1
+    return bool(_complex_components(int(rank[-1]), rank[edges])[1].any())
 
 
 def complex_part(g: LabeledGraph) -> GraphSlice:

@@ -27,7 +27,8 @@ from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
 from .graphs import (GraphError, LabeledGraph, MultiGraph, _at_least,
                      _Checked, _compact_edges, _complex_components,
-                     _edge_keys, _key_rows, _pairing_is_simple, _whole,
+                     _edge_keys, _key_rows, _pairing_is_simple,
+                     _split_keys, _whole,
                      has_complex_component, split)
 
 DEFAULT_GNM_CAP = 10_000
@@ -67,7 +68,9 @@ def _gnm_size(n, m) -> tuple[int, int]:
 
 def _simple_pairings(n: int, m: int, wanted: int, rng, cap: int):
     """Yield the first `wanted` simple pairings on rng's stream as blocks
-    of (lo, hi) rows, each with the number of rows drawn so far.  numpy's
+    of sorted edge keys u * (n + 1) + v, one (r, m) array per block, each
+    with the number of rows drawn so far.  The keys are the ones the
+    simplicity test sorted, so no caller sorts them again.  numpy's
     bounded-integer stream does not depend on how throws are split into
     calls, so these are the rows a loop drawing one pairing at a time
     accepts, and SamplingCapExceeded comes where it does: at the cap-th
@@ -80,12 +83,13 @@ def _simple_pairings(n: int, m: int, wanted: int, rng, cap: int):
                 f"no simple pairing in {cap} attempts at n={n}, m={m}", cap)
         rows = min(wanted, per_draw, cap - (drawn - last))
         u, v = _draw_pairing(n, m, rows, rng)
-        simple, = _pairing_is_simple(n, u, v).nonzero()
+        simple, key = _pairing_is_simple(n, u, v)
+        simple, = simple.nonzero()
         drawn += rows
         if simple.size:
             last = drawn - rows + 1 + int(simple[-1])
             wanted -= simple.size
-            yield u[simple], v[simple], drawn
+            yield key[simple], drawn
 
 
 def sample_multigraph(n: int, m: int, rng=None) -> MultiGraph:
@@ -109,12 +113,15 @@ def sample_gnm_counted(n: int, m: int, rng=None, *,
 
     Repeats the pairing draw until it is simple.  Conditioned on
     simplicity the pairing model is uniform, so the output is exactly
-    uniform over simple graphs on {1..n} with m edges.
+    uniform over simple graphs on {1..n} with m edges.  The rows arrive
+    checked, split from the keys the simplicity test sorted: the throw
+    puts every endpoint in 1..n, and that test has ruled out loops and
+    repeats.
     """
     n, m = _gnm_size(n, m)
     rng = np.random.default_rng(rng)
-    u, v, attempts = next(_simple_pairings(n, m, 1, rng, max_attempts))
-    return LabeledGraph(n, np.column_stack((u[0], v[0]))), attempts
+    key, attempts = next(_simple_pairings(n, m, 1, rng, max_attempts))
+    return LabeledGraph(n, _Checked(_split_keys(n, key[0]))), attempts
 
 
 def sample_gnm(n: int, m: int, rng=None, *,
@@ -386,8 +393,8 @@ def exact_census_gnm(n: int, m: int, trials: int,
     rng = np.random.default_rng(rng)
     found = np.empty(trials, dtype=np.int64)  # enumeration index of sample i
     done = 0
-    for u, v, _ in _simple_pairings(n, m, trials, rng, DEFAULT_GNM_CAP):
-        keys = _row_items(_edge_keys(n, u, v))
+    for key, _ in _simple_pairings(n, m, trials, rng, DEFAULT_GNM_CAP):
+        keys = _row_items(key)
         at = np.searchsorted(known, keys).clip(max=total - 1)
         if not (known[at] == keys).all():
             raise RuntimeError("a sample outside the enumerated class")
