@@ -1,8 +1,8 @@
 """Balls into bins: sampling, load statistics, expected census.
 
 k balls land independently and uniformly in n bins.  A trial is
-represented by its load vector (ball count per bin); everything else is
-a cheap function of that vector.
+represented by its load vector (ball count per bin, integer dtype, never
+negative); everything else is a cheap function of that vector.
 """
 from __future__ import annotations
 
@@ -22,6 +22,23 @@ def _bin_count(n) -> int:
     return n
 
 
+def _integers(name: str, a) -> np.ndarray:
+    """a as an int64 array, refused unless of integer dtype: floats and
+    bools are never truncated or counted."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
+def _loads(loads) -> np.ndarray:
+    """A load vector by _integers, refused if some load is negative."""
+    loads = _integers("loads", loads)
+    if loads.size and loads.min() < 0:
+        raise ValueError("loads must be non-negative")
+    return loads
+
+
 def throw_positions(n: int, k: int, rng=None) -> np.ndarray:
     """Landing bins of k balls, one entry per ball, each uniform on 1..n."""
     n = _at_least("n", _bin_count(n), 1)
@@ -33,11 +50,7 @@ def throw_positions(n: int, k: int, rng=None) -> np.ndarray:
 def loads_from_positions(n: int, positions: np.ndarray) -> np.ndarray:
     """Load vector: entry j is the number of balls that landed in bin j + 1."""
     n = _bin_count(n)
-    positions = np.asarray(positions)
-    if positions.size and positions.dtype.kind not in "iu":
-        raise ValueError(
-            f"ball positions must be integers, got {positions.dtype}")
-    positions = positions.astype(np.int64, copy=False)
+    positions = _integers("ball positions", positions)
     if positions.size and (positions.min() < 1 or positions.max() > n):
         raise ValueError("ball position outside 1..n")
     return np.bincount(positions, minlength=n + 1)[1:]
@@ -49,7 +62,7 @@ def throw_balls(n: int, k: int, rng=None) -> np.ndarray:
 
 
 def max_load(loads: np.ndarray) -> int:
-    loads = np.asarray(loads)
+    loads = _loads(loads)
     if loads.size == 0:
         raise ValueError("empty load vector")
     return int(loads.max())
@@ -57,7 +70,7 @@ def max_load(loads: np.ndarray) -> int:
 
 def prefix_max_load(loads: np.ndarray, t: int) -> int:
     """Maximum load among the first t bins."""
-    loads = np.asarray(loads)
+    loads = _loads(loads)
     t = _whole("t", t)
     if not 1 <= t <= loads.size:
         raise ValueError("prefix length out of range")
@@ -66,8 +79,7 @@ def prefix_max_load(loads: np.ndarray, t: int) -> int:
 
 def census(loads: np.ndarray) -> np.ndarray:
     """Observed census: entry l counts the bins with load exactly l."""
-    loads = np.asarray(loads, dtype=np.int64)
-    return np.bincount(loads).astype(np.int64)
+    return np.bincount(_loads(loads)).astype(np.int64)
 
 
 def expected_census(n: int, k: int, load: int) -> float:

@@ -30,11 +30,11 @@ OUT_OF_SCOPE = "out-of-scope"
 _MAX_BRACKET = 1e300
 
 
-def _positive(x) -> float:
-    """x as a float, refused unless it is positive."""
+def _positive(name: str, x) -> float:
+    """x as a float, refused unless it is finite and positive."""
     x = float(x)
-    if x <= 0.0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {x}")
     return x
 
 
@@ -44,7 +44,7 @@ def load_objective(x: float, n: float, k: float) -> float:
     Strictly positive at x = 1 whenever ln k > -1, eventually negative,
     and has exactly one sign change on (1, infinity).
     """
-    x = _positive(x)
+    x = _positive("x", x)
     return (x * math.log(k) + x - (x + 0.5) * math.log(x)
             - (x - 1.0) * math.log(n))
 
@@ -55,7 +55,7 @@ def log_ball_count(x: float, n: float) -> float:
     Inverse view of typical_max_load in its second argument:
     log_ball_count(typical_max_load(n, k), n) == log(k).
     """
-    x = _positive(x)
+    x = _positive("x", x)
     return (1.0 + 0.5 / x) * math.log(x) + (1.0 - 1.0 / x) * math.log(n) - 1.0
 
 
@@ -65,7 +65,7 @@ def log_bin_count(x: float) -> float:
     Inverse view of the balanced case:
     typical_max_load(exp(log_bin_count(x))) == x.
     """
-    x = _positive(x)
+    x = _positive("x", x)
     return (x + 0.5) * math.log(x) - x
 
 
@@ -75,11 +75,9 @@ def typical_max_load(n: float, k: float | None = None) -> float:
     k defaults to n (the balanced case).  Bisection runs until the
     midpoint is no longer strictly between the bracket ends, so the
     result is accurate to the last floating point digit and the call is
-    deterministic.  Requires n > 0 and ln k > -1.
+    deterministic.  Requires a finite n > 0 and ln k > -1.
     """
-    n = float(n)
-    if not n > 0.0:
-        raise ValueError("bin count must be positive")
+    n = _positive("n", n)
     k = n if k is None else float(k)
     if not k > 0.0 or math.log(k) <= -1.0:
         raise ValueError("ball count must satisfy ln k > -1")
@@ -114,8 +112,8 @@ def predicted_interval(n: float, k: float | None = None,
     For eps < 1/2 this has one or two points and the maximum load falls
     inside it with probability tending to one as n grows.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be non-negative")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
     load = typical_max_load(n, k)
     return (math.floor(load - eps), math.floor(load + eps))
 

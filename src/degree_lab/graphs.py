@@ -29,8 +29,9 @@ degree <= 1 vertices per round (see _peel_to_core).  core_of peels
 first and labels only what is left: peeling keeps each component's
 excess, so the components of the 2-core are the bare cycles left by the
 unicyclic components (excess 0) and the cores of the complex ones.
-split keeps the other order, a component pass and then a peel of the
-complex part alone, because it needs the whole partition.
+split keeps the other order, one component pass over g and then a peel
+of the complex part alone, and needs no second pass: a complex component
+stays connected as it is peeled, so g's labels name its one core part.
 
 has_complex_component needs no label per vertex, only a yes or no, so
 it strips the leaves before its one component pass: a single array pass
@@ -273,11 +274,12 @@ class GraphSlice(_EdgeListGraph):
 class Decomposition:
     """Three-way split plus the core of the complex part.
 
-    large_complex is the complex component containing the largest core
-    component (ties broken toward the component holding the smallest
-    vertex label); small_complex is the rest of the complex part;
-    non_complex is everything else.  The three slices partition both the
-    vertex set and the edge set of the input.
+    core_largest_component lists, increasing, the vertices of the largest
+    core component (ties go to the one holding the smallest core vertex
+    label; empty for an empty core), and large_complex is its complex
+    component; small_complex is the rest of the complex part; non_complex
+    is everything else.  The three slices partition both the vertex set
+    and the edge set of the input.
     """
 
     large_complex: GraphSlice
@@ -301,11 +303,6 @@ def _components(n: int, edges: np.ndarray) -> tuple[int, np.ndarray]:
     adj = csr_matrix((np.ones(edges.shape[0]), edges[:, 1] - 1, indptr),
                      shape=(n, n))
     return _cs_components(adj, directed=False)
-
-
-def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
-    """0-based component label per vertex, numbered by smallest member."""
-    return _components(n, edges)[1]
 
 
 def _component_stats(n: int, edges: np.ndarray):
@@ -350,17 +347,6 @@ def _complex_components(n: int, edges: np.ndarray
 def _compact_edges(part: GraphSlice) -> np.ndarray:
     """The slice's edges relabeled onto 1..order in increasing label order."""
     return np.searchsorted(part.vertices, part.edges) + 1
-
-
-def _largest_component(n: int, edges: np.ndarray) -> np.ndarray:
-    """Vertex mask of the component with the most vertices.
-
-    Ties go to the component holding the smallest label; with no
-    vertices the mask is empty.
-    """
-    labels = _component_labels(n, edges)
-    # argmax takes the first maximum, and ids rise with the smallest label
-    return labels == np.argmax(np.bincount(labels, minlength=1))
 
 
 def has_complex_component(g: LabeledGraph) -> bool:
@@ -467,15 +453,16 @@ def core_of(g: LabeledGraph) -> GraphSlice:
 
 def split(g: LabeledGraph) -> Decomposition:
     """Three-way decomposition (large complex, small complex, rest) + core
-    of a LabeledGraph or MultiGraph, ranking core vertices only."""
+    of a LabeledGraph or MultiGraph, from one component pass over g."""
     labels, is_complex = _complex_components(g.n, g.edges)
     in_complex = is_complex[labels]
     core = _peel_to_core(GraphSlice(g, in_complex))
-    best = core.vertices[_largest_component(core.order,
-                                            _compact_edges(core))]
-    # best's component, none for an empty core; kind="sort" compares with
-    # the one label directly instead of building a table over all labels
-    in_large = np.isin(labels, labels[best[:1] - 1], kind="sort")
+    # g's labels name the core components, and argmax takes the first
+    # core vertex in a largest one: ties go to the smallest core label
+    comp = labels[core.vertices - 1]
+    pick = comp[np.argmax(np.bincount(comp)[comp])] if comp.size else -1
+    in_large = labels == pick
     return Decomposition(GraphSlice(g, in_large),
                          GraphSlice(g, in_complex & ~in_large),
-                         GraphSlice(g, ~in_complex), core, best)
+                         GraphSlice(g, ~in_complex), core,
+                         core.vertices[comp == pick])

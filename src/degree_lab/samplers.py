@@ -166,11 +166,13 @@ def sample_cs(n: int, m: int, rng=None, *,
 def validate_core_graph(g: LabeledGraph) -> None:
     """Check that g can occur as the core of a complex part.
 
-    Cores of complex parts have every vertex of degree at least two and
-    every component of excess at least one; peeling changes neither the
-    excess nor the component count, and a unicyclic piece would not be
-    complex to begin with.  Raises GraphError otherwise.
+    Cores here are simple, as the graphs grown from them are, with every
+    vertex of degree at least two and every component of excess at least
+    one: peeling changes neither the excess nor the component count, and
+    a unicyclic piece would not be complex.  Raises GraphError otherwise.
     """
+    if not _pairing_is_simple(g.n, g.edges[:, 0], g.edges[:, 1])[0]:
+        raise GraphError("core graph must be simple: no loop, no repeated edge")
     if g.degree_sequence().min(initial=2) < 2:
         raise GraphError("core graph needs minimum degree 2")
     if not _complex_components(g.n, g.edges)[1].all():

@@ -113,6 +113,31 @@ class TestMaxAndPrefix:
             prefix_max_load(loads, 3)
 
 
+class TestLoadVectors:
+    """The load readers take integer loads, never negative, and refuse
+    anything else rather than truncate or count it."""
+
+    @pytest.mark.parametrize("loads, message", [
+        ([1.5, 2.7], "loads must be integers, got float64"),
+        ([1.0, 2.0], "loads must be integers, got float64"),
+        (np.array([1, 2], dtype=np.float32), "loads must be integers, got float32"),
+        ([True, False], "loads must be integers, got bool"),
+        ([-3], "loads must be non-negative"),
+        ([0, 4, -1], "loads must be non-negative"),
+    ])
+    def test_refused(self, loads, message):
+        for read in (max_load, lambda a: prefix_max_load(a, 1), census):
+            with pytest.raises(ValueError) as info:
+                read(loads)
+            assert str(info.value) == message
+
+    def test_integer_dtypes_accepted(self):
+        loads = np.array([0, 3, 1], dtype=np.uint8)
+        assert max_load(loads) == 3
+        assert prefix_max_load(loads.astype(np.int32), 2) == 3
+        assert census(loads).tolist() == [1, 1, 0, 1]
+
+
 class TestCensus:
     def test_example(self):
         counts = census(np.array([0, 2, 2, 1]))

@@ -118,6 +118,28 @@ class TestSolver:
             typical_max_load(10.0, 0.2)  # ln k <= -1
 
 
+class TestNonFiniteInputs:
+    """Infinite and NaN values are refused, not bisected into an answer."""
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_x_and_n(self, bad):
+        for call, name in ((lambda: load_objective(bad, 10, 10), "x"),
+                           (lambda: log_ball_count(bad, 10), "x"),
+                           (lambda: log_bin_count(bad), "x"),
+                           (lambda: typical_max_load(bad), "n"),
+                           (lambda: typical_max_load(bad, 10), "n")):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value).startswith(
+                f"{name} must be finite and positive")
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_eps(self, eps):
+        with pytest.raises(ValueError) as info:
+            predicted_interval(100, eps=eps)
+        assert str(info.value).startswith("eps must be finite and non-negative")
+
+
 class TestPredictedInterval:
     def test_floor_examples(self):
         n = math.exp(log_bin_count(4.5))

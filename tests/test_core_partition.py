@@ -4,21 +4,18 @@ split picks the largest core component among core vertices only, so a
 non-core label never stands in for it, also in a multigraph whose core
 is a single looped vertex.  Its three parts partition the vertices and
 the edges of the input, and a pipeline's core blocks are split's parts
-of its core.  An ast check keeps the "largest component" rule in one
-place: graphs._largest_component has exactly one caller in the package.
+of its core.  split reads the largest core component off the labels of
+its one component pass, and runs no second pass over the core.
 """
-import ast
 import itertools
-from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import uf_components
 
+from degree_lab import graphs
 from degree_lab.graphs import LabeledGraph, MultiGraph, split
 from degree_lab.samplers import PipelineSpec, sample_multigraph
-
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "degree_lab"
 
 
 def vertex_set(part):
@@ -92,27 +89,18 @@ def test_pipeline_core_blocks_are_splits_parts(core):
             block.edges, np.searchsorted(part.vertices, part.edges) + 1)
 
 
-def references(name):
-    """(module, function) for each import or read of `name` in the
-    package, by the innermost function that holds it."""
-    found = []
+def test_split_runs_one_component_pass(monkeypatch):
+    calls = []
+    real = graphs._components
 
-    def visit(node, module, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, module, child.name)
-                continue
-            if (isinstance(child, ast.Name) and child.id == name
-                    or isinstance(child, ast.Attribute) and child.attr == name
-                    or isinstance(child, ast.alias) and child.name == name):
-                found.append((module, func))
-            visit(child, module, func)
+    def counted(n, edges):
+        calls.append(n)
+        return real(n, edges)
 
-    for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.stem,
-              "<module>")
-    return found
-
-
-def test_largest_component_has_one_caller():
-    assert references("_largest_component") == [("graphs", "split")]
+    monkeypatch.setattr(graphs, "_components", counted)
+    # two complex components, whose cores are two K4s, and a tree
+    parts = split(LabeledGraph(11, k4(1, 2, 3, 4) + k4(5, 6, 7, 8)
+                               + [(4, 9), (10, 11)]))
+    assert calls == [11]
+    assert parts.core_largest_component.tolist() == [1, 2, 3, 4]
+    assert parts.small_complex.vertex_set() == {5, 6, 7, 8}

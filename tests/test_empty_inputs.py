@@ -1,13 +1,13 @@
 """Empty inputs take the general path of each kernel.
 
-components, bins.census, _largest_component and sample_pipeline have no
-branch of their own for empty input; these cases pin what the general
-code returns there.
+components, bins.census and sample_pipeline have no branch of their own
+for empty input, and split has one only where it picks the largest
+component of an empty core; these cases pin what the code returns there.
 """
 import numpy as np
 
 from degree_lab.bins import census
-from degree_lab.graphs import LabeledGraph, _largest_component, components
+from degree_lab.graphs import LabeledGraph, components, split
 from degree_lab.samplers import PipelineSpec, sample_cs, sample_pipeline
 
 
@@ -22,9 +22,13 @@ def test_census_of_no_bins():
 
 
 def test_largest_component_of_no_vertices():
-    mask = _largest_component(0, np.empty((0, 2), dtype=np.int64))
-    assert mask.dtype == bool
-    assert mask.shape == (0,)
+    parts = split(LabeledGraph(0))
+    for part in (parts.large_complex, parts.small_complex,
+                 parts.non_complex, parts.core):
+        assert part.is_empty and part.size == 0
+    best = parts.core_largest_component
+    assert best.dtype == np.int64
+    assert best.shape == (0,)
 
 
 def test_pipeline_on_an_empty_core_is_a_complex_free_draw():

@@ -6,7 +6,7 @@ import pytest
 
 from degree_lab.bins import throw_balls
 from degree_lab.forests import forest_count
-from degree_lab.graphs import (GraphError, LabeledGraph, core_of,
+from degree_lab.graphs import (GraphError, LabeledGraph, MultiGraph, core_of,
                                has_complex_component, split)
 from degree_lab.samplers import (PipelineSpec, SamplingCapExceeded,
                                  enumerate_gnm, exact_census_gnm,
@@ -152,6 +152,31 @@ class TestValidateCore:
         cycle = [(5, 6), (6, 7), (7, 5)]
         with pytest.raises(GraphError):
             validate_core_graph(LabeledGraph(7, K4 + cycle))
+
+
+    @pytest.mark.parametrize("core", [
+        MultiGraph(2, [(1, 2)] * 3),
+        MultiGraph(1, [(1, 1), (1, 1)]),
+        MultiGraph(4, K4 + [(1, 2)]),
+        MultiGraph(4, K4 + [(3, 3)]),
+    ])
+    def test_rejects_multigraph_cores_before_any_draw(self, core):
+        message = "core graph must be simple: no loop, no repeated edge"
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for make in (lambda: validate_core_graph(core),
+                     lambda: sample_complex(core, 6, rng),
+                     lambda: sample_complex_degrees(core, 6, rng),
+                     lambda: PipelineSpec(core, core.n, 0, 40, 30)):
+            with pytest.raises(GraphError) as info:
+                make()
+            assert str(info.value) == message
+        assert rng.bit_generator.state == state
+
+    def test_accepts_a_simple_multigraph_core(self):
+        core = MultiGraph(4, K4)
+        g = sample_complex(core, 9, rng=3)
+        assert g == sample_complex(LabeledGraph(4, K4), 9, rng=3)
 
 
 class TestComplexSampler:
