@@ -42,9 +42,14 @@ def load_objective(x: float, n: float, k: float) -> float:
     """Objective whose positive root is the typical maximum load.
 
     Strictly positive at x = 1 whenever ln k > -1, eventually negative,
-    and has exactly one sign change on (1, infinity).
+    and has exactly one sign change on (1, infinity).  x, n and k must be
+    finite and positive.
     """
-    x = _positive("x", x)
+    return _objective(_positive("x", x), _positive("n", n), _positive("k", k))
+
+
+def _objective(x: float, n: float, k: float) -> float:
+    """load_objective on values already checked."""
     return (x * math.log(k) + x - (x + 0.5) * math.log(x)
             - (x - 1.0) * math.log(n))
 
@@ -53,9 +58,11 @@ def log_ball_count(x: float, n: float) -> float:
     """Log of the ball count for which x is the typical load in n bins.
 
     Inverse view of typical_max_load in its second argument:
-    log_ball_count(typical_max_load(n, k), n) == log(k).
+    log_ball_count(typical_max_load(n, k), n) == log(k).  x and n must be
+    finite and positive.
     """
     x = _positive("x", x)
+    n = _positive("n", n)
     return (1.0 + 0.5 / x) * math.log(x) + (1.0 - 1.0 / x) * math.log(n) - 1.0
 
 
@@ -75,16 +82,16 @@ def typical_max_load(n: float, k: float | None = None) -> float:
     k defaults to n (the balanced case).  Bisection runs until the
     midpoint is no longer strictly between the bracket ends, so the
     result is accurate to the last floating point digit and the call is
-    deterministic.  Requires a finite n > 0 and ln k > -1.
+    deterministic.  Requires finite n > 0 and k > 0, and ln k > -1.
     """
     n = _positive("n", n)
-    k = n if k is None else float(k)
-    if not k > 0.0 or math.log(k) <= -1.0:
+    k = n if k is None else _positive("k", k)
+    if math.log(k) <= -1.0:
         raise ValueError("ball count must satisfy ln k > -1")
 
     lo = 1.0
     hi = 2.0
-    while load_objective(hi, n, k) > 0.0:
+    while _objective(hi, n, k) > 0.0:
         hi *= 2.0
         if hi > _MAX_BRACKET:
             raise ValueError("no bracket for the typical load")
@@ -93,14 +100,14 @@ def typical_max_load(n: float, k: float | None = None) -> float:
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break
-        val = load_objective(mid, n, k)
+        val = _objective(mid, n, k)
         if val > 0.0:
             lo = mid
         elif val < 0.0:
             hi = mid
         else:
             return mid
-    if abs(load_objective(lo, n, k)) <= abs(load_objective(hi, n, k)):
+    if abs(_objective(lo, n, k)) <= abs(_objective(hi, n, k)):
         return lo
     return hi
 

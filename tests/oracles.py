@@ -65,3 +65,37 @@ def exact_expected_census(n, k, load):
     return (Fraction(n) * comb(k, load)
             * Fraction(1, n) ** load
             * Fraction(n - 1, n) ** (k - load))
+
+
+def pointer_decode(n, t, seq):
+    """The leaf removed at each step when seq is decoded, by the
+    descending-pointer loop: one interpreted step per sequence entry.
+
+    A pointer scans the labels downward for a vertex of degree one and
+    never moves up; a removal that leaves its neighbour x with degree one
+    above the pointer makes x the next leaf.
+    """
+    seq = [int(x) for x in seq]
+    degrees = [0] * n
+    for x in seq:
+        degrees[x - 1] += 1
+    for v in range(t, n):
+        degrees[v] += 1
+    # deg[0] = 1 stops the pointer at 0 after the last entry
+    deg = [1] + degrees
+    ptr = n
+    while deg[ptr] != 1:
+        ptr -= 1
+    leaf = ptr
+    leaves = []
+    for x in seq:
+        leaves.append(leaf)
+        deg[x] -= 1
+        if deg[x] == 1 and x > ptr:
+            leaf = x
+        else:
+            ptr -= 1
+            while deg[ptr] != 1:
+                ptr -= 1
+            leaf = ptr
+    return leaves

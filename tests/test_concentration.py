@@ -133,6 +133,22 @@ class TestNonFiniteInputs:
             assert str(info.value).startswith(
                 f"{name} must be finite and positive")
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, 0.0,
+                                     -5.0])
+    def test_k_and_n(self, bad):
+        for call, name in ((lambda: load_objective(2.0, bad, 10), "n"),
+                           (lambda: load_objective(2.0, 10, bad), "k"),
+                           (lambda: log_ball_count(2.0, bad), "n"),
+                           (lambda: typical_max_load(10, bad), "k")):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value).startswith(
+                f"{name} must be finite and positive")
+
+    def test_small_finite_k_keeps_the_log_rule(self):
+        with pytest.raises(ValueError, match=r"ln k > -1"):
+            typical_max_load(10, 0.3)
+
     @pytest.mark.parametrize("eps", [math.inf, math.nan])
     def test_eps(self, eps):
         with pytest.raises(ValueError) as info:
