@@ -145,17 +145,14 @@ class _Checked:
     rows: np.ndarray
 
 
-def _pairing_is_simple(n: int, u: np.ndarray, v: np.ndarray):
-    """Whether the edges (u[..., i], v[..., i]), u <= v, hold no loop and
-    no repeat, one answer per row of a block of pairings, and the rows'
-    sorted keys (_edge_keys).  The keys are sorted only when some row has
-    no loop; otherwise they come back as None."""
-    simple = ~_has_loop(u, v)
-    key = None
-    if simple.any():
-        key = _edge_keys(n, u, v)
-        simple &= ~_has_repeat(key)
-    return simple, key
+def _simple_keys(n: int, u: np.ndarray, v: np.ndarray):
+    """The simple rows of a (rows, m) block of edges (u[r, i], v[r, i]),
+    u <= v: the numbers of the rows with no loop and no repeat, and their
+    sorted keys (_edge_keys).  Only the loop-free rows are keyed."""
+    rows, = (~_has_loop(u, v)).nonzero()
+    key = _edge_keys(n, u[rows], v[rows])
+    simple = ~_has_repeat(key)
+    return rows[simple], key[simple]
 
 
 class _EdgeListGraph:
@@ -216,8 +213,8 @@ class MultiGraph(_EdgeListGraph):
     simple_only = False
 
     def is_simple(self) -> bool:
-        return bool(_pairing_is_simple(self.n, self.edges[:, 0],
-                                       self.edges[:, 1])[0])
+        return bool(_simple_keys(self.n, self.edges[None, :, 0],
+                                 self.edges[None, :, 1])[0].size)
 
 
 class GraphSlice(_EdgeListGraph):

@@ -27,7 +27,7 @@ from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
 from .graphs import (GraphError, LabeledGraph, MultiGraph, _at_least,
                      _Checked, _compact_edges, _complex_components,
-                     _edge_keys, _key_rows, _pairing_is_simple,
+                     _edge_keys, _key_rows, _simple_keys,
                      _split_keys, _whole,
                      has_complex_component, split)
 
@@ -83,13 +83,12 @@ def _simple_pairings(n: int, m: int, wanted: int, rng, cap: int):
                 f"no simple pairing in {cap} attempts at n={n}, m={m}", cap)
         rows = min(wanted, per_draw, cap - (drawn - last))
         u, v = _draw_pairing(n, m, rows, rng)
-        simple, key = _pairing_is_simple(n, u, v)
-        simple, = simple.nonzero()
+        simple, key = _simple_keys(n, u, v)
         drawn += rows
         if simple.size:
             last = drawn - rows + 1 + int(simple[-1])
             wanted -= simple.size
-            yield key[simple], drawn
+            yield key, drawn
 
 
 def sample_multigraph(n: int, m: int, rng=None) -> MultiGraph:
@@ -171,7 +170,7 @@ def validate_core_graph(g: LabeledGraph) -> None:
     one: peeling changes neither the excess nor the component count, and
     a unicyclic piece would not be complex.  Raises GraphError otherwise.
     """
-    if not _pairing_is_simple(g.n, g.edges[:, 0], g.edges[:, 1])[0]:
+    if not _simple_keys(g.n, g.edges[None, :, 0], g.edges[None, :, 1])[0].size:
         raise GraphError("core graph must be simple: no loop, no repeated edge")
     if g.degree_sequence().min(initial=2) < 2:
         raise GraphError("core graph needs minimum degree 2")
@@ -241,14 +240,6 @@ def sample_complex_degrees(core: LabeledGraph, q: int, rng=None) -> np.ndarray:
     return deg
 
 
-def _core_blocks(core: LabeledGraph) -> tuple[LabeledGraph, LabeledGraph]:
-    """split(core)'s large and small complex parts, each relabeled onto
-    {1..order} in increasing label order."""
-    parts = split(core)
-    return tuple(LabeledGraph(p.order, _compact_edges(p))
-                 for p in (parts.large_complex, parts.small_complex))
-
-
 @dataclass(frozen=True)
 class PipelineSpec:
     """Shape of a pipeline draw: core plus part orders and totals.
@@ -258,7 +249,8 @@ class PipelineSpec:
     vertices and hosts the remaining core components; the complex-free
     remainder gets the other spare_order vertices and spare_edges edges,
     chosen so that the whole graph has exactly m edges.  The two core
-    blocks are relabeled onto their label blocks once, here.
+    blocks, split(core)'s large and small complex parts, are relabeled
+    onto {1..order} in increasing label order once, here.
     """
 
     core: LabeledGraph
@@ -270,7 +262,9 @@ class PipelineSpec:
 
     def __post_init__(self):
         validate_core_graph(self.core)
-        large, rest = _core_blocks(self.core)
+        parts = split(self.core)
+        large, rest = (LabeledGraph(p.order, _compact_edges(p))
+                       for p in (parts.large_complex, parts.small_complex))
         if self.large_order < large.n:
             raise ValueError("large_order smaller than the largest core component")
         if self.small_order < rest.n:
@@ -393,16 +387,14 @@ def exact_census_gnm(n: int, m: int, trials: int,
     order = np.argsort(known)  # enumeration index of each sorted row
     known = known[order]
     rng = np.random.default_rng(rng)
-    found = np.empty(trials, dtype=np.int64)  # enumeration index of sample i
-    done = 0
+    counts = np.zeros(total, dtype=np.int64)
     for key, _ in _simple_pairings(n, m, trials, rng, DEFAULT_GNM_CAP):
         keys = _row_items(key)
         at = np.searchsorted(known, keys).clip(max=total - 1)
         if not (known[at] == keys).all():
             raise RuntimeError("a sample outside the enumerated class")
-        found[done:done + len(keys)] = order[at]
-        done += len(keys)
-    counts = np.bincount(found, minlength=total).tolist()
+        counts += np.bincount(order[at], minlength=total)
+    counts = counts.tolist()
     if trials == 0:
         return UniformityReport(total, 0, 1.0 - 1.0 / total, None, True,
                                 tuple(counts))
