@@ -1,15 +1,16 @@
 """Seeded Monte Carlo experiments with machine-readable reports.
 
 Each experiment kind runs `trials` independent trials, one derived seed
-per trial, records an integer statistic (a maximum load or a maximum
-degree), compares it against the matching prediction window, and
-reduces everything to a ConcentrationReport.  Reports serialize to JSON
-or CSV; reruns with the same master seed are byte-identical apart from
-the wall-clock entry, which can be excluded.
+per trial.  Each trial builds a load or degree vector; the harness
+records its maximum, compares it against the matching prediction window
+capped at the largest value a trial can reach, and reduces everything to
+a ConcentrationReport.  Reports serialize to JSON or CSV; reruns with
+the same master seed are byte-identical apart from the wall-clock entry,
+which can be excluded.
 
 KIND_SPECS holds every kind: its command-line flags and its window,
-which predicts the statistic and hands back the trial that draws it.
-run_experiment and the degree-lab command read nothing else.
+which predicts the maximum and hands back the trial that draws the
+vector.  run_experiment and the degree-lab command read nothing else.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bins import max_load, throw_balls
+from .bins import throw_balls
 from .concentration import (predicted_interval, two_point_prediction,
                             typical_max_load)
 from .edgelist import _read_simple_graph
@@ -111,10 +112,11 @@ class Flag:
 class Window(NamedTuple):
     """A kind's trial and what it predicts before its trials run."""
 
-    trial: Callable[[int], tuple]  # seed -> statistic, checks, draws
+    trial: Callable[[int], tuple]  # seed -> values, checks, draws
     params: dict  # the kind's own report params, ahead of the shared ones
-    interval: tuple[int, int]
-    anchor: int
+    interval: tuple[int, int]  # before the cap at top
+    anchor: int  # before the cap at top
+    top: float  # the largest value a trial can reach; inf for loads
     extras: dict = {}  # report extras known before the trials
 
 
@@ -123,10 +125,10 @@ class KindSpec:
     """One experiment kind.
 
     A sampling kind gives `window`, which builds once what its trials
-    share and returns a Window whose trial(seed) returns the statistic,
-    the named checks it passed or failed, and the number of draws it
-    made (1 unless it rejects).  counts_attempts reports completed
-    trials over draws as acceptanceFraction.  A kind without trials
+    share and returns a Window whose trial(seed) returns its load or
+    degree vector, the named checks it passed or failed, and the number
+    of draws it made (1 unless it rejects).  counts_attempts reports
+    completed trials over draws as acceptanceFraction.  A kind without trials
     gives `report`, which builds the whole report.  Samplers are called
     through this module's globals at call time, never stored.
     """
@@ -144,19 +146,11 @@ def _int_if_whole(x: float) -> float | int:
     return int(x) if float(x).is_integer() else x
 
 
-def _window(n: float, k: float | None, eps: float, shift: int = 0,
-            top: float = math.inf):
-    """Load window of k balls in n bins and its anchor, moved up by shift
-    and capped at top."""
+def _window(n: float, k: float | None, eps: float, shift: int = 0):
+    """Load window of k balls in n bins and its anchor, moved up by shift."""
     lo, hi = predicted_interval(n, k, eps)
     anchor = math.floor(typical_max_load(n, k) - 1.0 / 3.0)
-    return _capped((lo + shift, hi + shift), anchor + shift, top)
-
-
-def _capped(interval: tuple[int, int], anchor: int, top: float):
-    """A degree window and its anchor lowered to top, the largest degree
-    the sampled graph can have."""
-    return (min(interval[0], top), min(interval[1], top)), min(anchor, top)
+    return (lo + shift, hi + shift), anchor + shift
 
 
 def _nu_report(cfg: ExperimentConfig, threshold: float) -> ConcentrationReport:
@@ -189,26 +183,25 @@ def _census_report(cfg: ExperimentConfig,
 
 def _bins_window(cfg):
     def trial(seed):
-        return max_load(throw_balls(cfg.n, cfg.k, seed)), {}, 1
+        return throw_balls(cfg.n, cfg.k, seed), {}, 1
     return Window(trial, {"n": cfg.n, "k": cfg.k},
-                  *_window(cfg.n, cfg.k, cfg.epsilon))
+                  *_window(cfg.n, cfg.k, cfg.epsilon), math.inf)
 
 
 def _forest_window(cfg):
     def trial(seed):
         deg = sample_forest_degrees(cfg.n, cfg.t, seed)
-        stat = int(deg.max())
-        return stat, {"rootGap": stat - int(deg[:cfg.t].max()) >= 1}, 1
+        return deg, {"rootGap": (deg[cfg.t:] > deg[:cfg.t].max()).any()}, 1
     return Window(trial, {"n": cfg.n, "t": cfg.t},
-                  *_window(cfg.n, None, cfg.epsilon, shift=1, top=cfg.n - 1))
+                  *_window(cfg.n, None, cfg.epsilon, shift=1), cfg.n - 1)
 
 
 def _counted_window(cfg, sampler, k):
     def trial(seed):
         g, attempts = sampler(cfg.n, cfg.m, seed)
-        return g.max_degree(), {}, attempts
+        return g.degree_sequence(), {}, attempts
     return Window(trial, {"n": cfg.n, "m": cfg.m},
-                  *_window(cfg.n, k, cfg.epsilon, top=cfg.n - 1))
+                  *_window(cfg.n, k, cfg.epsilon), cfg.n - 1)
 
 
 def _complex_window(cfg):
@@ -219,14 +212,14 @@ def _complex_window(cfg):
         degrees = g.degree_sequence()
         expected = forest.degree_sequence()
         expected[:cfg.core.n] += core_degrees
-        return int(degrees.max(initial=0)), {
+        return degrees, {
             "coreRecovery": bool(np.array_equal(core_of(g).edges,
                                                 cfg.core.edges)),
             "degreeIdentity": bool(np.array_equal(degrees, expected)),
         }, 1
     return Window(trial, {"coreOrder": cfg.core.n,
                           "coreSize": cfg.core.num_edges, "q": cfg.q},
-                  *_window(cfg.q, None, cfg.epsilon, shift=1, top=cfg.q - 1))
+                  *_window(cfg.q, None, cfg.epsilon, shift=1), cfg.q - 1)
 
 
 def _pipeline_window(cfg):
@@ -250,10 +243,9 @@ def _pipeline_window(cfg):
         if spec.small_order > 0 and spec.spare_order > 0:
             checks["smallPartBelowSpare"] = (parts.small_complex.max_degree()
                                              < parts.non_complex.max_degree())
-        return g.max_degree(), checks, 1
-    return Window(trial, params,
-                  *_capped(prediction.as_tuple(), prediction.lower, cfg.n - 1),
-                  {"regime": prediction.regime})
+        return g.degree_sequence(), checks, 1
+    return Window(trial, params, prediction.as_tuple(), prediction.lower,
+                  cfg.n - 1, {"regime": prediction.regime})
 
 
 _N = Flag("--n", "n", low=1)
@@ -357,18 +349,19 @@ def _trial_report(cfg: ExperimentConfig, spec: KindSpec,
     for i in range(cfg.trials):
         seeds.append(trial_seed(cfg.master_seed, i))
         try:
-            stat, passed, tries = window.trial(seeds[-1])
+            values, passed, tries = window.trial(seeds[-1])
         except SamplingCapExceeded as exc:
             stats.append(None)
             attempts += exc.attempts
             continue
-        stats.append(int(stat))
+        stats.append(int(values.max(initial=0)))
+        del values  # not held while the next trial builds its own
         attempts += tries
         for name, ok in passed.items():
             checks[name] = checks.get(name, 0) + (1 if ok else 0)
 
     observed = [s for s in stats if s is not None]
-    lo, hi = window.interval
+    lo, hi = (min(x, window.top) for x in window.interval)
     hit_fraction = sum(1 for s in observed if lo <= s <= hi) / cfg.trials
     extras = dict(window.extras)
     for name, good in checks.items():
@@ -382,7 +375,7 @@ def _trial_report(cfg: ExperimentConfig, spec: KindSpec,
         kind=cfg.kind, params=params,
         verdict="pass" if hit_fraction >= threshold else "fail",
         master_seed=cfg.master_seed, interval=(int(lo), int(hi)),
-        anchor=int(window.anchor),
+        anchor=int(min(window.anchor, window.top)),
         histogram=dict(sorted(Counter(observed).items())),
         hit_fraction=hit_fraction, trial_seeds=seeds, extras=extras,
         trial_stats=stats)

@@ -359,10 +359,13 @@ def enumerate_gnm(n: int, m: int) -> list[LabeledGraph]:
 
 def _row_items(keys: np.ndarray) -> np.ndarray:
     """Each row of an (r, m) array of edge keys as one item, which sorts
-    and compares by the row's bytes; rows of width 0 all become 0."""
+    and compares by the row's bytes; rows of width 0 all become 0.  The
+    keys are read big-endian, so the items sort as the rows do
+    lexicographically: enumerate_gnm's graphs give sorted items."""
     r, m = keys.shape
     if m == 0:
         return np.zeros(r, dtype=np.int64)
+    keys = keys.astype(">i8")
     return keys.view(np.dtype((np.void, keys.itemsize * m))).ravel()
 
 
@@ -384,8 +387,6 @@ def exact_census_gnm(n: int, m: int, trials: int,
     total = len(graphs)
     edges = np.stack([g.edges for g in graphs])
     known = _row_items(_edge_keys(n, edges[..., 0], edges[..., 1]))
-    order = np.argsort(known)  # enumeration index of each sorted row
-    known = known[order]
     rng = np.random.default_rng(rng)
     counts = np.zeros(total, dtype=np.int64)
     for key, _ in _simple_pairings(n, m, trials, rng, DEFAULT_GNM_CAP):
@@ -393,7 +394,7 @@ def exact_census_gnm(n: int, m: int, trials: int,
         at = np.searchsorted(known, keys).clip(max=total - 1)
         if not (known[at] == keys).all():
             raise RuntimeError("a sample outside the enumerated class")
-        counts += np.bincount(order[at], minlength=total)
+        counts += np.bincount(at, minlength=total)
     counts = counts.tolist()
     if trials == 0:
         return UniformityReport(total, 0, 1.0 - 1.0 / total, None, True,

@@ -18,6 +18,8 @@ K4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     (["forest", "--n", "2", "--t", "1"], 1),
     # the uncapped window was [4, 4]; K4 itself is the only draw
     (["complex", "--core", "CORE", "--q", "4"], 3),
+    # the uncapped window was [2, 3]; the triangle is the only draw
+    (["cs", "--n", "3", "--m", "3", "--trials", "20"], 2),
 ])
 def test_window_is_capped_at_the_largest_degree(argv, top, tmp_path,
                                                 capsysbinary):
