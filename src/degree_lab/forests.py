@@ -79,8 +79,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import (MAX_VERTICES, GraphError, LabeledGraph, _Checked,
-                     _components, _EdgeListGraph, _key_rows, _whole)
+from .graphs import (GraphError, LabeledGraph, _Checked, _components,
+                     _EdgeListGraph, _key_rows, _order, _whole)
 
 
 class RootedForest(_EdgeListGraph):
@@ -122,9 +122,7 @@ def _forest_shape(n, t) -> tuple[int, int]:
     t = _whole("t", t)
     if n < 0 or not (0 <= t <= n) or (n > 0 and t == 0):
         raise ValueError(f"invalid forest shape: n = {n}, t = {t}")
-    if n > MAX_VERTICES:
-        raise ValueError(f"n = {n} exceeds the vertex limit {MAX_VERTICES}")
-    return n, t
+    return _order("n", n), t
 
 
 def forest_count(n: int, t: int) -> int:

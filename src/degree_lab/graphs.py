@@ -25,23 +25,9 @@ sorting or checking again.
 The decomposition kernels are array operations with no sort over the
 vertices: component labels come from one scipy pass over the canonical
 rows (see _components), and the core peel removes a whole frontier of
-degree <= 1 vertices per round (see _peel_to_core).  core_of peels
-first and labels only what is left: peeling keeps each component's
-excess, so the components of the 2-core are the bare cycles left by the
-unicyclic components (excess 0) and the cores of the complex ones.
-split keeps the other order, one component pass over g and then a peel
-of the complex part alone, and needs no second pass: a complex component
-stays connected as it is peeled, so g's labels name its one core part.
-
-has_complex_component needs no label per vertex, only a yes or no, so
-it strips the leaves before its one component pass: a single array pass
-drops every vertex of degree <= 1 with its edges, and no loop follows.
-That keeps each component's excess class.  A vertex of degree 0 is a
-tree on its own; two adjacent vertices of degree 1 are a K2 component,
-also a tree, and vanish together; every other vertex of degree 1 hangs
-off a neighbour that stays, so dropping it takes one vertex and one
-edge from a component that stays connected.  A loop counts 2 towards
-its vertex's degree, so the rule holds on multigraphs too.
+degree <= 1 vertices per round (see _peel_to_core).  core_of, split
+and has_complex_component each give their route, and why it is exact,
+in their own docstrings.
 """
 from __future__ import annotations
 
@@ -78,6 +64,14 @@ def _at_least(name: str, x, low: int) -> int:
     x = _whole(name, x)
     if x < low:
         raise ValueError(f"{name} must be at least {low}, got {x}")
+    return x
+
+
+def _order(name: str, x) -> int:
+    """x as an int by _whole, refused above MAX_VERTICES."""
+    x = _whole(name, x)
+    if x > MAX_VERTICES:
+        raise ValueError(f"{name} = {x} exceeds the vertex limit {MAX_VERTICES}")
     return x
 
 
@@ -222,9 +216,11 @@ class GraphSlice(_EdgeListGraph):
 
     host is any graph with a canonical .edges array (LabeledGraph,
     MultiGraph, RootedForest or another GraphSlice); vmask[v - 1] picks
-    vertex v and may set only vertices of the host.  The slice keeps the
-    picked labels, increasing, and the host edges with both endpoints
-    picked, in host order.  Both arrays are read-only.
+    vertex v and may set only vertices of the host.  vmask must cover
+    every endpoint of the host's edges, and may be shorter than the
+    host's label range: the labels past its end are not picked.  The
+    slice keeps the picked labels, increasing, and the host edges with
+    both endpoints picked, in host order.  Both arrays are read-only.
     """
 
     __slots__ = ("vertices", "edges")
@@ -355,7 +351,9 @@ def has_complex_component(g: LabeledGraph) -> bool:
     changes its excess class: a vertex of degree 0 is a tree, two
     adjacent vertices of degree 1 are a K2, also a tree, and each other
     vertex of degree 1 takes one vertex and one edge from a component
-    that stays connected.  This is one round, not the full peel.
+    that stays connected.  A loop counts 2 towards its vertex's degree,
+    so the rule holds on multigraphs too.  This is one round, not the
+    full peel.
     """
     inner = np.bincount(g.edges.ravel(), minlength=g.n + 1) > 1
     edges = g.edges[inner[g.edges[:, 0]] & inner[g.edges[:, 1]]]
@@ -374,40 +372,39 @@ def complex_part(g: LabeledGraph) -> GraphSlice:
 _THIN_FRONTIER = 16
 
 
-def _peel_to_core(part, vertices=None) -> GraphSlice:
+def _peel_to_core(part) -> GraphSlice:
     """Peel vertices of degree <= 1, one frontier per round; O(order + size).
 
-    part is a GraphSlice, or any graph with its increasing vertex labels
-    given as vertices; the result is a slice of part.
+    part is any graph with canonical rows (LabeledGraph, MultiGraph or
+    GraphSlice); the result is a slice of part.  Everything is read off
+    part.edges, and a loop counts 2 towards its vertex's degree.
 
-    The frontier is the set of live vertices of degree <= 1, and each
-    round removes all of it with a few array operations.  xor[v] is the
-    XOR of the live neighbours of v, so a vertex of degree one finds its
-    neighbour as xor[v]; ufunc.at applies the updates of several leaves
-    that share a neighbour.  Two adjacent frontier vertices die in the
-    same round and only update each other.  A frontier never grows, since
-    each leaf frees at most its one live neighbour, so once it is thinner
-    than _THIN_FRONTIER the rest (a thin tail, such as a pendant path) is
-    peeled one vertex at a time on the same arrays.
+    deg[v] is the live degree of v, and xor[v] the XOR of its live
+    neighbours, so a vertex of degree one finds its neighbour as xor[v].
+    The frontier is the set of live vertices of degree one, and each
+    round removes all of it with a few array operations; ufunc.at
+    applies the updates of several leaves that share a neighbour.  Two
+    adjacent frontier vertices die in the same round and only update
+    each other.  A removed vertex keeps its last degree, at most one,
+    and no live vertex counts it again, so no live set is needed: the
+    core is the vertices whose degree is still at least two, which
+    leaves out those with no edge and those whose degree fell to zero.
+    A frontier never grows, since each leaf frees at most its one live
+    neighbour, so once it is thinner than _THIN_FRONTIER the rest (a
+    thin tail, such as a pendant path) is peeled one vertex at a time
+    on the same arrays.
     """
-    if vertices is None:
-        vertices = part.vertices
-    hi = int(vertices.max(initial=0))
-    deg = np.bincount(part.edges.ravel(), minlength=hi + 1)
-    xor = np.zeros(hi + 1, dtype=np.int64)
+    deg = np.bincount(part.edges.ravel())
+    xor = np.zeros(deg.size, dtype=np.int64)
     np.bitwise_xor.at(xor, part.edges, part.edges[:, ::-1])
-    alive = np.zeros(hi + 1, dtype=bool)
-    alive[vertices] = True
-    slot = np.zeros(hi + 1, dtype=np.int64)
+    slot = np.zeros(deg.size, dtype=np.int64)
 
-    frontier = vertices[deg[vertices] <= 1]
+    frontier = np.flatnonzero(deg == 1)
     while frontier.size >= _THIN_FRONTIER:
-        alive[frontier] = False
-        leaves = frontier[deg[frontier] == 1]
-        nbrs = xor[leaves]
+        nbrs = xor[frontier]
         np.subtract.at(deg, nbrs, 1)
-        np.bitwise_xor.at(xor, nbrs, leaves)
-        nbrs = nbrs[alive[nbrs] & (deg[nbrs] <= 1)]
+        np.bitwise_xor.at(xor, nbrs, frontier)
+        nbrs = nbrs[deg[nbrs] == 1]
         # drop repeats without a sort: a repeated vertex's slot keeps one
         # of the positions written to it, and only that one reads back
         pos = np.arange(nbrs.size)
@@ -418,14 +415,13 @@ def _peel_to_core(part, vertices=None) -> GraphSlice:
     stack = frontier.tolist()
     while stack:
         y = stack.pop()
-        alive[y] = False
         if deg[y]:
             x = int(xor[y])
             deg[x] -= 1
             xor[x] ^= y
             if deg[x] == 1:
                 stack.append(x)
-    return GraphSlice(part, alive[1:])
+    return GraphSlice(part, deg[1:] > 1)
 
 
 def core_of(g: LabeledGraph) -> GraphSlice:
@@ -441,7 +437,7 @@ def core_of(g: LabeledGraph) -> GraphSlice:
     unicyclic components leave, and the components of excess >= 1 are
     the core of the complex part.
     """
-    core = _peel_to_core(g, np.arange(1, g.n + 1))
+    core = _peel_to_core(g)
     labels, is_complex = _complex_components(core.order, _compact_edges(core))
     keep = np.zeros(g.n, dtype=bool)
     keep[core.vertices[is_complex[labels]] - 1] = True
@@ -450,7 +446,12 @@ def core_of(g: LabeledGraph) -> GraphSlice:
 
 def split(g: LabeledGraph) -> Decomposition:
     """Three-way decomposition (large complex, small complex, rest) + core
-    of a LabeledGraph or MultiGraph, from one component pass over g."""
+    of a LabeledGraph or MultiGraph, from one component pass over g.
+
+    The pass over g finds the complex part, and only that is peeled.  A
+    complex component stays connected as it is peeled, so g's labels
+    name its one core part, and the core needs no second pass.
+    """
     labels, is_complex = _complex_components(g.n, g.edges)
     in_complex = is_complex[labels]
     core = _peel_to_core(GraphSlice(g, in_complex))

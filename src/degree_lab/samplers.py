@@ -26,9 +26,8 @@ import numpy as np
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
 from .graphs import (GraphError, LabeledGraph, MultiGraph, _at_least,
-                     _Checked, _compact_edges, _complex_components,
-                     _edge_keys, _key_rows, _simple_keys,
-                     _split_keys, _whole,
+                     _Checked, _compact_edges, _edge_keys, _key_rows,
+                     _order, _simple_keys, _split_keys, _whole, core_of,
                      has_complex_component, split)
 
 DEFAULT_GNM_CAP = 10_000
@@ -163,19 +162,21 @@ def sample_cs(n: int, m: int, rng=None, *,
 
 
 def validate_core_graph(g: LabeledGraph) -> None:
-    """Check that g can occur as the core of a complex part.
+    """Check that g can occur as the core of a complex part: that g is
+    simple, as the graphs grown from it are, and is its own core.
 
-    Cores here are simple, as the graphs grown from them are, with every
-    vertex of degree at least two and every component of excess at least
-    one: peeling changes neither the excess nor the component count, and
-    a unicyclic piece would not be complex.  Raises GraphError otherwise.
+    g is its own core exactly when every vertex has degree at least two
+    and every component has excess at least one.  If so, the peel removes
+    nothing and core_of keeps every component; if core_of keeps every
+    vertex, nothing was peeled, so every degree is at least two, and
+    every component lies in the complex part.  Raises GraphError
+    otherwise.
     """
     if not _simple_keys(g.n, g.edges[None, :, 0], g.edges[None, :, 1])[0].size:
         raise GraphError("core graph must be simple: no loop, no repeated edge")
-    if g.degree_sequence().min(initial=2) < 2:
-        raise GraphError("core graph needs minimum degree 2")
-    if not _complex_components(g.n, g.edges)[1].all():
-        raise GraphError("every core component needs excess >= 1")
+    if core_of(g).order < g.n:
+        raise GraphError("core graph must be its own core: minimum degree 2 "
+                         "and every component of excess >= 1")
 
 
 def _complex_order(core: LabeledGraph, q) -> int:
@@ -183,7 +184,7 @@ def _complex_order(core: LabeledGraph, q) -> int:
     validate_core_graph(core)
     if core.n == 0:
         raise ValueError("core must be non-empty")
-    return _at_least("q", q, core.n)
+    return _order("q", _at_least("q", q, core.n))
 
 
 def _grow(core: LabeledGraph, q: int, rng) -> tuple:
@@ -261,6 +262,7 @@ class PipelineSpec:
     _parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _order("n", self.n)
         validate_core_graph(self.core)
         parts = split(self.core)
         large, rest = (LabeledGraph(p.order, _compact_edges(p))
