@@ -17,8 +17,10 @@ a vertex of degree one, and never moves up.  When a removal leaves the
 removed leaf's neighbour x with degree one and x lies above the
 pointer, x is the largest leaf and goes next; otherwise the pointer
 moves down to the next vertex of degree one.  So the pass is linear.  A
-leaf's neighbour is the XOR of its neighbours not yet removed, and the
-loop calls no function per step.  Sequences are 1-D int64 arrays;
+leaf's neighbour is the sum of the labels of its neighbours not yet
+removed (graphs._neighbour_sums; a forest's sums never exceed
+n(n + 1)/2, so they fit in int64), and the loop calls no function per
+step.  Sequences are 1-D int64 arrays;
 encode_forest returns a tuple of ints.
 
 The decoding has no per-step loop.  Number the steps 0..m-1, m = n - t,
@@ -80,7 +82,8 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import (GraphError, LabeledGraph, _Checked, _components,
-                     _EdgeListGraph, _key_rows, _order, _whole)
+                     _EdgeListGraph, _key_rows, _neighbour_sums, _order,
+                     _whole)
 
 
 class RootedForest(_EdgeListGraph):
@@ -149,10 +152,8 @@ def _validate_sequence(n: int, t: int, seq) -> np.ndarray:
 
 def encode_forest(forest: RootedForest) -> tuple[int, ...]:
     """Neighbour sequence of the repeated largest-leaf removal."""
-    # a leaf's one neighbour is the XOR of its neighbours not yet removed
-    xor = np.zeros(forest.n + 1, dtype=np.int64)
-    np.bitwise_xor.at(xor, forest.edges, forest.edges[:, ::-1])
-    xor = xor.tolist()
+    # a leaf's one neighbour is the sum of its neighbours not yet removed
+    nsum = _neighbour_sums(forest.n + 1, forest.edges).tolist()
     # deg[0] = 1 stops the pointer at 0, ending the loop, after the last edge
     deg = [1] + forest.degree_sequence().tolist()
     ptr = forest.n
@@ -161,8 +162,8 @@ def encode_forest(forest: RootedForest) -> tuple[int, ...]:
     leaf = ptr
     seq = []
     while leaf:
-        x = xor[leaf]
-        xor[x] ^= leaf
+        x = nsum[leaf]
+        nsum[x] -= leaf
         seq.append(x)
         deg[x] -= 1
         if deg[x] == 1 and x > ptr:

@@ -25,7 +25,10 @@ sorting or checking again.
 The decomposition kernels are array operations with no sort over the
 vertices: component labels come from one scipy pass over the canonical
 rows (see _components), and the core peel removes a whole frontier of
-degree <= 1 vertices per round (see _peel_to_core).  core_of, split
+degree <= 1 vertices per round, each leaf finding its one neighbour as
+the running sum of its live neighbours' labels (see _peel_to_core).
+Rows are picked with np.compress, which is faster than a boolean index
+on a 2-D array.  core_of, split
 and has_complex_component each give their route, and why it is exact,
 in their own docstrings.
 """
@@ -230,7 +233,7 @@ class GraphSlice(_EdgeListGraph):
         edges = host.edges
         keep = vmask[edges[:, 0] - 1] & vmask[edges[:, 1] - 1]
         self.vertices = np.flatnonzero(vmask) + 1
-        self.edges = edges[keep]
+        self.edges = np.compress(keep, edges, axis=0)
         self.vertices.setflags(write=False)
         self.edges.setflags(write=False)
 
@@ -356,7 +359,8 @@ def has_complex_component(g: LabeledGraph) -> bool:
     full peel.
     """
     inner = np.bincount(g.edges.ravel(), minlength=g.n + 1) > 1
-    edges = g.edges[inner[g.edges[:, 0]] & inner[g.edges[:, 1]]]
+    edges = np.compress(inner[g.edges[:, 0]] & inner[g.edges[:, 1]],
+                        g.edges, axis=0)
     rank = np.cumsum(inner)  # inner[0] is False: labels start at 1
     return bool(_complex_components(int(rank[-1]), rank[edges])[1].any())
 
@@ -372,6 +376,21 @@ def complex_part(g: LabeledGraph) -> GraphSlice:
 _THIN_FRONTIER = 16
 
 
+def _neighbour_sums(size: int, edges: np.ndarray) -> np.ndarray:
+    """nsum[v] for v < size: the sum of the other ends of v's rows, a
+    loop counting v twice, in int64 (so modulo 2**64).
+
+    Built with np.add.at over the two 1-D endpoint columns, which runs
+    on ufunc.at's fast path.  See _peel_to_core for why a vertex of
+    degree one reads its one neighbour off its sum exactly.
+    """
+    nsum = np.zeros(size, dtype=np.int64)
+    u, v = edges.T
+    np.add.at(nsum, u, v)
+    np.add.at(nsum, v, u)
+    return nsum
+
+
 def _peel_to_core(part) -> GraphSlice:
     """Peel vertices of degree <= 1, one frontier per round; O(order + size).
 
@@ -379,8 +398,23 @@ def _peel_to_core(part) -> GraphSlice:
     GraphSlice); the result is a slice of part.  Everything is read off
     part.edges, and a loop counts 2 towards its vertex's degree.
 
-    deg[v] is the live degree of v, and xor[v] the XOR of its live
-    neighbours, so a vertex of degree one finds its neighbour as xor[v].
+    deg[v] is the live degree of v, and nsum[v] the sum of its live
+    neighbours' labels, one term per live row (_neighbour_sums).  A row
+    dies with the first of its ends to be peeled, and peeling leaf y
+    with neighbour x subtracts y from nsum[x], so the sum always runs
+    over the live rows.  A vertex reads its sum only at degree one, and
+    then its one live row is a plain edge and the sum is its neighbour.
+    That holds on multigraphs too: a loop keeps its vertex at degree two
+    or more, and a repeated edge keeps both its ends there while both
+    live, so neither can be peeled first; such vertices never read
+    their sums.  The sums may wrap modulo 2**64, but only at a vertex
+    with billions of rows (a simple graph's sums are at most
+    n(n + 1)/2 < 2**63); every update agrees modulo 2**64, and the one
+    neighbour's label lies in 1..n, so it still reads back exactly.
+    Sums rather than XORs of the labels, because np.add.at and
+    np.subtract.at run on ufunc.at's fast path for 1-D indices and the
+    XOR ufunc's .at does not.
+
     The frontier is the set of live vertices of degree one, and each
     round removes all of it with a few array operations; ufunc.at
     applies the updates of several leaves that share a neighbour.  Two
@@ -395,15 +429,14 @@ def _peel_to_core(part) -> GraphSlice:
     on the same arrays.
     """
     deg = np.bincount(part.edges.ravel())
-    xor = np.zeros(deg.size, dtype=np.int64)
-    np.bitwise_xor.at(xor, part.edges, part.edges[:, ::-1])
+    nsum = _neighbour_sums(deg.size, part.edges)
     slot = np.zeros(deg.size, dtype=np.int64)
 
     frontier = np.flatnonzero(deg == 1)
     while frontier.size >= _THIN_FRONTIER:
-        nbrs = xor[frontier]
+        nbrs = nsum[frontier]
         np.subtract.at(deg, nbrs, 1)
-        np.bitwise_xor.at(xor, nbrs, frontier)
+        np.subtract.at(nsum, nbrs, frontier)
         nbrs = nbrs[deg[nbrs] == 1]
         # drop repeats without a sort: a repeated vertex's slot keeps one
         # of the positions written to it, and only that one reads back
@@ -416,9 +449,9 @@ def _peel_to_core(part) -> GraphSlice:
     while stack:
         y = stack.pop()
         if deg[y]:
-            x = int(xor[y])
+            x = int(nsum[y])
             deg[x] -= 1
-            xor[x] ^= y
+            nsum[x] -= y
             if deg[x] == 1:
                 stack.append(x)
     return GraphSlice(part, deg[1:] > 1)

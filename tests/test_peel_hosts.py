@@ -3,20 +3,30 @@
 The peel reads everything off the host's edge rows, so a vertex with no
 edge, inside the label range or above the largest endpoint, must never
 reach the core, and a vertex whose only edges are loops must stay.  The
-reference is test_peel_fuzz's worklist peel of the slice that picks
-every vertex of the host.
+last three hosts give the first frontier at least _THIN_FRONTIER leaves,
+so a loop, a repeated edge and a row of K2 components meet the peel's
+array rounds, not only its single-vertex tail.  The reference is
+test_peel_fuzz's worklist peel of the slice that picks every vertex of
+the host.
 """
 import numpy as np
 import pytest
 
-from degree_lab.graphs import (GraphSlice, LabeledGraph, MultiGraph,
-                               _peel_to_core)
+from degree_lab.graphs import (_THIN_FRONTIER, GraphSlice, LabeledGraph,
+                               MultiGraph, _peel_to_core)
 
 from test_peel_fuzz import K4, reference_peel
 
 
 def shifted(edges, by):
     return [(u + by, v + by) for u, v in edges]
+
+
+def star(centre, first, leaves):
+    return [(centre, v) for v in range(first, first + leaves)]
+
+
+LEAVES = 2 * _THIN_FRONTIER
 
 
 HOSTS = {
@@ -32,6 +42,14 @@ HOSTS = {
     "loops under isolated vertices": MultiGraph(6, [(1, 1), (3, 3)]),
     "a loop at the end of a path": MultiGraph(5, [(1, 2), (2, 3), (3, 3)]),
     "a repeated edge and a leaf": MultiGraph(7, [(2, 4), (2, 4), (4, 6)]),
+    "a leafy star on a looped centre": MultiGraph(
+        LEAVES + 1, [(1, 1)] + star(1, 2, LEAVES)),
+    "leafy stars joined by a repeated edge": MultiGraph(
+        2 * LEAVES + 2,
+        [(1, 2), (1, 2)] + star(1, 3, LEAVES) + star(2, LEAVES + 3, LEAVES)),
+    "a row of K2 components beside a doubled K2": MultiGraph(
+        2 * LEAVES + 2, [(2 * i + 1, 2 * i + 2) for i in range(LEAVES)]
+        + [(2 * LEAVES + 1, 2 * LEAVES + 2)] * 2),
 }
 
 
