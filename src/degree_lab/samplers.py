@@ -25,9 +25,9 @@ import numpy as np
 
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
-from .graphs import (GraphError, LabeledGraph, MultiGraph, _at_least,
-                     _Checked, _compact_edges, _edge_keys, _key_rows,
-                     _order, _simple_keys, _split_keys, _whole, core_of,
+from .graphs import (Decomposition, GraphError, LabeledGraph, MultiGraph,
+                     _at_least, _Checked, _compact_edges, _edge_keys,
+                     _key_rows, _order, _simple_keys, _split_keys, _whole,
                      has_complex_component, split)
 
 DEFAULT_GNM_CAP = 10_000
@@ -161,22 +161,25 @@ def sample_cs(n: int, m: int, rng=None, *,
     return sample_cs_counted(n, m, rng, max_attempts=max_attempts)[0]
 
 
-def validate_core_graph(g: LabeledGraph) -> None:
+def validate_core_graph(g: LabeledGraph) -> Decomposition:
     """Check that g can occur as the core of a complex part: that g is
-    simple, as the graphs grown from it are, and is its own core.
+    simple, as the graphs grown from it are, and is its own core; return
+    split(g), from which the check reads its answer.
 
     g is its own core exactly when every vertex has degree at least two
-    and every component has excess at least one.  If so, the peel removes
-    nothing and core_of keeps every component; if core_of keeps every
-    vertex, nothing was peeled, so every degree is at least two, and
-    every component lies in the complex part.  Raises GraphError
-    otherwise.
+    and every component has excess at least one.  If so, the complex part
+    is all of g, the peel removes nothing, and split(g)'s core keeps
+    every vertex; if that core keeps every vertex, every vertex lies in
+    the complex part and nothing was peeled, so every degree is at least
+    two.  Raises GraphError otherwise.
     """
     if not _simple_keys(g.n, g.edges[None, :, 0], g.edges[None, :, 1])[0].size:
         raise GraphError("core graph must be simple: no loop, no repeated edge")
-    if core_of(g).order < g.n:
+    parts = split(g)
+    if parts.core.order < g.n:
         raise GraphError("core graph must be its own core: minimum degree 2 "
                          "and every component of excess >= 1")
+    return parts
 
 
 def _complex_order(core: LabeledGraph, q) -> int:
@@ -250,8 +253,9 @@ class PipelineSpec:
     vertices and hosts the remaining core components; the complex-free
     remainder gets the other spare_order vertices and spare_edges edges,
     chosen so that the whole graph has exactly m edges.  The two core
-    blocks, split(core)'s large and small complex parts, are relabeled
-    onto {1..order} in increasing label order once, here.
+    blocks, split(core)'s large and small complex parts, come from the
+    split that validate_core_graph returns, and are relabeled onto
+    {1..order} in increasing label order once, here.
     """
 
     core: LabeledGraph
@@ -263,8 +267,7 @@ class PipelineSpec:
 
     def __post_init__(self):
         _order("n", self.n)
-        validate_core_graph(self.core)
-        parts = split(self.core)
+        parts = validate_core_graph(self.core)
         large, rest = (LabeledGraph(p.order, _compact_edges(p))
                        for p in (parts.large_complex, parts.small_complex))
         if self.large_order < large.n:
