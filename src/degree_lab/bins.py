@@ -10,16 +10,8 @@ import math
 
 import numpy as np
 
-from .graphs import MAX_VERTICES, _at_least, _whole
-
-
-def _bin_count(n) -> int:
-    """n as an int, refused above MAX_VERTICES before any array of size n
-    is made."""
-    n = _whole("n", n)
-    if n > MAX_VERTICES:
-        raise ValueError(f"n = {n} exceeds the limit {MAX_VERTICES}")
-    return n
+from .concentration import _in_float_range
+from .graphs import _at_least, _order, _whole
 
 
 def _integers(name: str, a) -> np.ndarray:
@@ -41,7 +33,7 @@ def _loads(loads) -> np.ndarray:
 
 def throw_positions(n: int, k: int, rng=None) -> np.ndarray:
     """Landing bins of k balls, one entry per ball, each uniform on 1..n."""
-    n = _at_least("n", _bin_count(n), 1)
+    n = _order("n", n, 1)
     k = _at_least("k", k, 0)
     rng = np.random.default_rng(rng)
     return rng.integers(1, n + 1, size=k)
@@ -49,7 +41,7 @@ def throw_positions(n: int, k: int, rng=None) -> np.ndarray:
 
 def loads_from_positions(n: int, positions: np.ndarray) -> np.ndarray:
     """Load vector: entry j is the number of balls that landed in bin j + 1."""
-    n = _bin_count(n)
+    n = _order("n", n, 0)
     positions = _integers("ball positions", positions)
     if positions.size and (positions.min() < 1 or positions.max() > n):
         raise ValueError("ball position outside 1..n")
@@ -88,8 +80,8 @@ def expected_census(n: int, k: int, load: int) -> float:
     Equals n * C(k, load) * (1/n)**load * (1 - 1/n)**(k - load),
     evaluated in log space so large n and k are safe.
     """
-    n = _at_least("n", n, 1)
-    k = _at_least("k", k, 0)
+    n = _in_float_range("n", _at_least("n", n, 1))
+    k = _in_float_range("k", _at_least("k", k, 0))
     load = _whole("load", load)
     if load < 0 or load > k:
         return 0.0

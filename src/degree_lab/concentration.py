@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 
 from .graphs import _at_least
 
@@ -31,10 +32,20 @@ _MAX_BRACKET = 1e300
 
 
 def _positive(name: str, x) -> float:
-    """x as a float, refused unless it is finite and positive."""
-    x = float(x)
-    if not 0.0 < x < math.inf:
+    """x as a float, refused unless it is finite and positive.  x is
+    compared before it is converted, so an int past the float range is
+    refused here, not raised as OverflowError."""
+    if not 0 < x <= float_info.max:
         raise ValueError(f"{name} must be finite and positive, got {x}")
+    return float(x)
+
+
+def _in_float_range(name: str, x: int) -> int:
+    """An int count that float arithmetic will read, refused with
+    ValueError past the float range rather than raising OverflowError
+    inside that arithmetic."""
+    if x > float_info.max:
+        raise ValueError(f"{name} = {x} lies outside the float range")
     return x
 
 
@@ -155,8 +166,8 @@ def classify_regime(n: int, m: int, *, linear_cap: float = 0.05,
 
     checked in that order; anything else is "out-of-scope".
     """
-    n = _at_least("n", n, 1)
-    m = _at_least("m", m, 0)
+    n = _in_float_range("n", _at_least("n", n, 1))
+    m = _in_float_range("m", _at_least("m", m, 0))
     s = m - n / 2.0
     if s <= n ** (2.0 / 3.0):
         return REGIME_BELOW

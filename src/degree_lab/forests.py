@@ -121,11 +121,11 @@ class RootedForest(_EdgeListGraph):
 
 def _forest_shape(n, t) -> tuple[int, int]:
     """n and t as ints, checked to describe a rooted forest."""
-    n = _whole("n", n)
+    n = _order("n", n, 0)
     t = _whole("t", t)
-    if n < 0 or not (0 <= t <= n) or (n > 0 and t == 0):
+    if not (0 <= t <= n) or (n > 0 and t == 0):
         raise ValueError(f"invalid forest shape: n = {n}, t = {t}")
-    return _order("n", n), t
+    return n, t
 
 
 def forest_count(n: int, t: int) -> int:

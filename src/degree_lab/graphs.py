@@ -75,9 +75,13 @@ def _at_least(name: str, x, low: int) -> int:
     return x
 
 
-def _order(name: str, x) -> int:
-    """x as an int by _whole, refused above MAX_VERTICES."""
-    x = _whole(name, x)
+def _order(name: str, x, low: int) -> int:
+    """A vertex or bin count: x as an int by _at_least, refused above
+    MAX_VERTICES before any array of size x is made.  Every count of
+    vertices or bins in the package is read here; only a graph value
+    refuses its own n past the limit (with GraphError, in
+    _EdgeListGraph)."""
+    x = _at_least(name, x, low)
     if x > MAX_VERTICES:
         raise ValueError(f"{name} = {x} exceeds the vertex limit {MAX_VERTICES}")
     return x
@@ -177,9 +181,7 @@ class _EdgeListGraph:
     simple_only = True
 
     def __init__(self, n: int, edges=()):
-        n = _whole("n", n)
-        if n < 0:
-            raise GraphError("vertex count must be non-negative")
+        n = _at_least("n", n, 0)
         if n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} over the limit {MAX_VERTICES}")
         self.n = n

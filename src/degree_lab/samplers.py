@@ -58,7 +58,7 @@ def _draw_pairing(n: int, m: int, rows: int,
 
 def _gnm_size(n, m) -> tuple[int, int]:
     """n and m as ints, checked as the order and size of a simple graph."""
-    n = _at_least("n", n, 1)
+    n = _order("n", n, 1)
     m = _whole("m", m)
     if not 0 <= m <= comb(n, 2):
         raise ValueError(f"no simple graph on n = {n} vertices has m = {m} edges")
@@ -97,7 +97,7 @@ def sample_multigraph(n: int, m: int, rng=None) -> MultiGraph:
     2m-ball throw, so with equal seeds the degree sequence matches
     throw_balls(n, 2 * m, seed).
     """
-    n = _at_least("n", n, 1)
+    n = _order("n", n, 1)
     m = _at_least("m", m, 0)
     rng = np.random.default_rng(rng)
     u, v = _draw_pairing(n, m, 1, rng)
@@ -137,7 +137,7 @@ def sample_cs_counted(n: int, m: int, rng=None, *,
     class.  Feasible complex-free graphs need m <= n; the loop is only
     fast for m near n/2 or below.
     """
-    n = _at_least("n", n, 1)
+    n = _order("n", n, 1)
     m = _at_least("m", m, 0)
     if m > n:
         raise ValueError(f"a complex-free graph has at most n = {n} edges, "
@@ -187,7 +187,7 @@ def _complex_order(core: LabeledGraph, q) -> int:
     validate_core_graph(core)
     if core.n == 0:
         raise ValueError("core must be non-empty")
-    return _order("q", _at_least("q", q, core.n))
+    return _order("q", q, core.n)
 
 
 def _grow(core: LabeledGraph, q: int, rng) -> tuple:
@@ -256,6 +256,11 @@ class PipelineSpec:
     blocks, split(core)'s large and small complex parts, come from the
     split that validate_core_graph returns, and are relabeled onto
     {1..order} in increasing label order once, here.
+
+    n, large_order and small_order are read as vertex counts
+    (graphs._order) and m as a size at least 0 before the core is
+    validated, so a float or an order past the vertex limit is refused
+    under its field's own name, before any draw.
     """
 
     core: LabeledGraph
@@ -266,7 +271,10 @@ class PipelineSpec:
     _parts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _order("n", self.n)
+        _order("n", self.n, 0)
+        _order("large_order", self.large_order, 0)
+        _order("small_order", self.small_order, 0)
+        _at_least("m", self.m, 0)
         parts = validate_core_graph(self.core)
         large, rest = (LabeledGraph(p.order, _compact_edges(p))
                        for p in (parts.large_complex, parts.small_complex))
@@ -349,8 +357,8 @@ def enumerate_gnm(n: int, m: int) -> list[LabeledGraph]:
     than ENUMERATION_CAP graphs, or of more than ENUMERATION_EDGE_CAP
     edges over all its graphs, is refused at once, whatever n is.
     """
-    n = _whole("n", n)
-    m = _whole("m", m)
+    n = _order("n", n, 0)
+    m = _at_least("m", m, 0)
     total = comb(comb(n, 2), m)
     if total > ENUMERATION_CAP or total * m > ENUMERATION_EDGE_CAP:
         raise ValueError(f"{total} graphs of {m} edges is too many to "

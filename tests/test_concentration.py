@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from degree_lab.bins import expected_census
 from degree_lab.concentration import (OUT_OF_SCOPE, REGIME_ABOVE, REGIME_BELOW,
                                       REGIME_WINDOW, classify_regime,
                                       load_objective, log_ball_count,
                                       log_bin_count, predicted_interval,
                                       two_point_prediction, typical_max_load)
+
+
+# an int past the float range, on which float(x) raises OverflowError
+BIG = 10 ** 400
+PAST_FLOATS = [pytest.param(BIG, id="1e400"), pytest.param(-BIG, id="-1e400")]
 
 
 def grid_pairs(count=100, seed=5):
@@ -119,22 +125,26 @@ class TestSolver:
 
 
 class TestNonFiniteInputs:
-    """Infinite and NaN values are refused, not bisected into an answer."""
+    """Infinite and NaN values, and ints past the float range, are refused
+    with ValueError, not bisected into an answer or raised as
+    OverflowError."""
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf,
+                                     *PAST_FLOATS])
     def test_x_and_n(self, bad):
         for call, name in ((lambda: load_objective(bad, 10, 10), "x"),
                            (lambda: log_ball_count(bad, 10), "x"),
                            (lambda: log_bin_count(bad), "x"),
                            (lambda: typical_max_load(bad), "n"),
-                           (lambda: typical_max_load(bad, 10), "n")):
+                           (lambda: typical_max_load(bad, 10), "n"),
+                           (lambda: predicted_interval(bad), "n")):
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value).startswith(
                 f"{name} must be finite and positive")
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, 0.0,
-                                     -5.0])
+                                     -5.0, *PAST_FLOATS])
     def test_k_and_n(self, bad):
         for call, name in ((lambda: load_objective(2.0, bad, 10), "n"),
                            (lambda: load_objective(2.0, 10, bad), "k"),
@@ -144,6 +154,23 @@ class TestNonFiniteInputs:
                 call()
             assert str(info.value).startswith(
                 f"{name} must be finite and positive")
+
+    @pytest.mark.parametrize("fn, args, message", [
+        (classify_regime, (BIG, 1), f"n = {BIG} lies outside the float range"),
+        (classify_regime, (10, BIG), f"m = {BIG} lies outside the float range"),
+        (two_point_prediction, (BIG, 1),
+         f"n = {BIG} lies outside the float range"),
+        (two_point_prediction, (1000, BIG),
+         f"m = {BIG} lies outside the float range"),
+        (expected_census, (BIG, 1, 0), f"n = {BIG} lies outside the float range"),
+        (expected_census, (10, BIG, 1), f"k = {BIG} lies outside the float range"),
+    ], ids=["classify_regime-n", "classify_regime-m",
+            "two_point_prediction-n", "two_point_prediction-m",
+            "expected_census-n", "expected_census-k"])
+    def test_counts_past_the_float_range(self, fn, args, message):
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        assert str(info.value) == message
 
     def test_small_finite_k_keeps_the_log_rule(self):
         with pytest.raises(ValueError, match=r"ln k > -1"):

@@ -1,6 +1,6 @@
 """Dead code in src/degree_lab, found with the standard-library ast module.
 
-Four checks stand in for a linter:
+Five checks stand in for a linter:
 
 - every name a module imports is used in it, or listed in its __all__
   (the package __init__ only re-exports, so it is exempt);
@@ -10,7 +10,9 @@ Four checks stand in for a linter:
 - every name a module lists in its __all__ is defined in it, not merely
   imported (again the package __init__ is exempt);
 - each refusal is written once: no message template is raised from more
-  than one function.
+  than one function;
+- the vertex limit is kept in one module: no module but graphs.py reads
+  MAX_VERTICES, so every other count is refused through graphs._order.
 """
 import ast
 from pathlib import Path
@@ -159,3 +161,11 @@ def test_each_refusal_is_written_once():
                 for text, funcs in sorted(raisers.items()) if len(funcs) > 1]
     assert not repeated, ("messages raised from more than one function: "
                           + "; ".join(repeated))
+
+
+def test_only_graphs_reads_the_vertex_limit():
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "graphs.py"
+               and "MAX_VERTICES" in loaded(parse(path))]
+    assert not readers, ("MAX_VERTICES read outside graphs.py: "
+                         + ", ".join(readers))

@@ -1,8 +1,9 @@
 """Sizes given to the samplers, the bins, the forest counts, the graph
-constructors and the regime classifier must be integers: a float, whole
-or not, is refused with ValueError, never truncated.  numpy integers are
-accepted.  A size below its lower bound is refused with one message,
-"<name> must be at least <bound>, got <value>"."""
+constructors, the pipeline spec and the regime classifier must be
+integers: a float, whole or not, is refused with ValueError, never
+truncated.  numpy integers are accepted.  A size below its lower bound
+is refused with one message, "<name> must be at least <bound>, got
+<value>"."""
 import numpy as np
 import pytest
 
@@ -11,12 +12,16 @@ from degree_lab.bins import (expected_census, loads_from_positions,
 from degree_lab.concentration import classify_regime
 from degree_lab.forests import (RootedForest, forest_count, sample_forest,
                                 sample_forest_degrees)
-from degree_lab.graphs import LabeledGraph
-from degree_lab.samplers import (enumerate_gnm, exact_census_gnm,
-                                 sample_complex, sample_cs, sample_gnm,
-                                 sample_multigraph)
+from degree_lab.graphs import LabeledGraph, MultiGraph
+from degree_lab.samplers import (PipelineSpec, enumerate_gnm,
+                                 exact_census_gnm, sample_complex, sample_cs,
+                                 sample_gnm, sample_multigraph)
 
 K4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
+def pipeline_spec(l, r, n, m):
+    return PipelineSpec(LabeledGraph(4, K4), l, r, n, m)
 
 
 @pytest.mark.parametrize("fn, args, message", [
@@ -40,6 +45,9 @@ K4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     (RootedForest, (3, 1.9, [(1, 2), (2, 3)]),
      "t must be an integer, got 1.9"),
     (classify_regime, (1000.9, 500.5), "n must be an integer, got 1000.9"),
+    (pipeline_spec, (4.5, 0, 20, 17), "large_order must be an integer, got 4.5"),
+    (pipeline_spec, (4, 0.5, 20, 17), "small_order must be an integer, got 0.5"),
+    (pipeline_spec, (4, 0, 20, 17.0), "m must be an integer, got 17.0"),
 ], ids=lambda x: x.__name__ if callable(x) else None)
 def test_float_sizes_are_refused(fn, args, message):
     with pytest.raises(ValueError) as info:
@@ -57,6 +65,15 @@ def test_float_sizes_are_refused(fn, args, message):
     (exact_census_gnm, (4, 3, -1, 0), "trials must be at least 0, got -1"),
     (sample_complex, (LabeledGraph(4, K4), 3, 0),
      "q must be at least 4, got 3"),
+    (enumerate_gnm, (4, -1), "m must be at least 0, got -1"),
+    (LabeledGraph, (-1,), "n must be at least 0, got -1"),
+    (MultiGraph, (-1,), "n must be at least 0, got -1"),
+    (RootedForest, (-1, 0), "n must be at least 0, got -1"),
+    (loads_from_positions, (-1, []), "n must be at least 0, got -1"),
+    (sample_forest, (-1, 0), "n must be at least 0, got -1"),
+    (forest_count, (-1, 0), "n must be at least 0, got -1"),
+    (enumerate_gnm, (-1, 0), "n must be at least 0, got -1"),
+    (pipeline_spec, (-1, 0, 20, 17), "large_order must be at least 0, got -1"),
 ], ids=lambda x: x.__name__ if callable(x) else None)
 def test_sizes_below_their_bound_are_refused(fn, args, message):
     with pytest.raises(ValueError) as info:

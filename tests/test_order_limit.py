@@ -1,5 +1,6 @@
 """A vertex count past graphs.MAX_VERTICES is refused under the name the
-caller gave it: q for a complex graph, n for a pipeline draw.
+caller gave it: q for a complex graph, n or a part order for a pipeline
+draw.
 
 A pipeline draw's complex-free part has n - l - r vertices, a number the
 caller never typed, so the spec refuses n itself, before any draw.  Each
@@ -26,7 +27,9 @@ def refusal(name, value=HUGE):
     (f"sample_complex({K4_CODE}, {HUGE}, 0)", "q"),
     (f"sample_complex_degrees({K4_CODE}, {HUGE}, 0)", "q"),
     (f"PipelineSpec({K4_CODE}, 4, 0, {HUGE}, {HUGE // 2})", "n"),
-], ids=["sample_complex", "sample_complex_degrees", "PipelineSpec"])
+    (f"PipelineSpec({K4_CODE}, {HUGE}, 0, 20, 17)", "large_order"),
+], ids=["sample_complex", "sample_complex_degrees", "PipelineSpec",
+        "PipelineSpec-large_order"])
 def test_api_names_the_order_it_was_given(code, name):
     script = ("from degree_lab import *\n"
               f"try:\n    {code}\n"
