@@ -74,11 +74,42 @@ def census(loads: np.ndarray) -> np.ndarray:
     return np.bincount(_loads(loads)).astype(np.int64)
 
 
+_LN_SQRT_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def _stirling_error(x: int) -> float:
+    """ln x! - ((x + 1/2) ln x - x + ln sqrt(2 pi)) for x >= 1, the error
+    of Stirling's formula; from its asymptotic series at x >= 15 (the
+    first term left out is below 3e-16 there), so a large x! is never
+    formed."""
+    if x < 15:
+        return math.lgamma(x + 1) - (x + 0.5) * math.log(x) + x - _LN_SQRT_2PI
+    r = 1.0 / x
+    r2 = r * r
+    return r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (1 / 1680
+                                                            - r2 / 1188))))
+
+
+def _log_binom(k: int, j: int) -> float:
+    """ln C(k, j) for 0 <= j <= k, in Stirling's form: the leading terms of
+    ln k! - ln j! - ln (k - j)! cancel by hand, leaving j ln(k / j),
+    (k - j) ln(k / (k - j)) and three Stirling errors, so ln k!, which
+    overflows past k ~ 2.5e305, is never formed."""
+    j = min(j, k - j)
+    if j == 0:
+        return 0.0
+    rest = k - j
+    return (_stirling_error(k) - _stirling_error(j) - _stirling_error(rest)
+            + j * (math.log(k) - math.log(j)) - rest * math.log1p(-j / k)
+            + 0.5 * (math.log(k) - math.log(j) - math.log(rest))
+            - _LN_SQRT_2PI)
+
+
 def expected_census(n: int, k: int, load: int) -> float:
     """Expected number of bins with the given load, for k balls in n bins.
 
     Equals n * C(k, load) * (1/n)**load * (1 - 1/n)**(k - load),
-    evaluated in log space so large n and k are safe.
+    evaluated in log space (_log_binom) so large n and k are safe.
     """
     n = _in_float_range("n", _at_least("n", n, 1))
     k = _in_float_range("k", _at_least("k", k, 0))
@@ -87,8 +118,6 @@ def expected_census(n: int, k: int, load: int) -> float:
         return 0.0
     if n == 1:
         return 1.0 if load == k else 0.0
-    log_binom = (math.lgamma(k + 1) - math.lgamma(load + 1)
-                 - math.lgamma(k - load + 1))
-    log_val = (math.log(n) + log_binom - load * math.log(n)
+    log_val = (math.log(n) + _log_binom(k, load) - load * math.log(n)
                + (k - load) * math.log1p(-1.0 / n))
     return math.exp(log_val)

@@ -13,7 +13,8 @@ Four samplers, each exactly uniform over its target class:
 plus sample_pipeline, which assembles a full n-vertex, m-edge graph from
 a core by drawing its large complex part, small complex part and
 complex-free remainder on consecutive label blocks, and
-exact_census_gnm, a brute-force uniformity check for sample_gnm.
+exact_census_gnm, an exact uniformity check for sample_gnm that counts
+the samples of each graph of a small class.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ import numpy as np
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
 from .graphs import (Decomposition, GraphError, LabeledGraph, MultiGraph,
-                     _at_least, _Checked, _compact_edges, _edge_keys,
-                     _key_rows, _order, _simple_keys, _split_keys, _whole,
+                     _at_least, _Checked, _compact_edges, _key_rows,
+                     _order, _simple_keys, _split_keys, _whole,
                      has_complex_component, split)
 
 DEFAULT_GNM_CAP = 10_000
@@ -350,19 +351,26 @@ class UniformityReport:
     counts: tuple[int, ...]
 
 
-def enumerate_gnm(n: int, m: int) -> list[LabeledGraph]:
-    """All simple graphs on {1..n} with m edges, in lexicographic order.
-
-    The class is counted before any pair is listed, so a class of more
-    than ENUMERATION_CAP graphs, or of more than ENUMERATION_EDGE_CAP
-    edges over all its graphs, is refused at once, whatever n is.
-    """
-    n = _order("n", n, 0)
-    m = _at_least("m", m, 0)
+def _class_size(n: int, m: int) -> int:
+    """The number of simple graphs on {1..n} with m edges, C(C(n, 2), m),
+    refused when the class holds more than ENUMERATION_CAP graphs or
+    more than ENUMERATION_EDGE_CAP edges over all its graphs."""
     total = comb(comb(n, 2), m)
     if total > ENUMERATION_CAP or total * m > ENUMERATION_EDGE_CAP:
         raise ValueError(f"{total} graphs of {m} edges is too many to "
                          "enumerate")
+    return total
+
+
+def enumerate_gnm(n: int, m: int) -> list[LabeledGraph]:
+    """All simple graphs on {1..n} with m edges, in lexicographic order.
+
+    The class is counted before any pair is listed (_class_size), so a
+    class too large to enumerate is refused at once, whatever n is.
+    """
+    n = _order("n", n, 0)
+    m = _at_least("m", m, 0)
+    _class_size(n, m)
     if m == 0:  # combinations() would first list all comb(n, 2) pairs
         return [LabeledGraph(n)]
     pairs = itertools.combinations(range(1, n + 1), 2)
@@ -370,44 +378,66 @@ def enumerate_gnm(n: int, m: int) -> list[LabeledGraph]:
             for subset in itertools.combinations(pairs, m)]
 
 
-def _row_items(keys: np.ndarray) -> np.ndarray:
-    """Each row of an (r, m) array of edge keys as one item, which sorts
-    and compares by the row's bytes; rows of width 0 all become 0.  The
-    keys are read big-endian, so the items sort as the rows do
-    lexicographically: enumerate_gnm's graphs give sorted items."""
-    r, m = keys.shape
+def _lex_ranks(n: int, m: int):
+    """The map from an (r, m) block of sorted edge keys u * (n + 1) + v to
+    each row's index in enumerate_gnm(n, m), for a class _class_size
+    allows; it raises RuntimeError on a row outside the class.
+
+    A key maps to its pair index e in 0..N - 1, N = C(n, 2), the place
+    of (u, v) among the pairs in lexicographic order; keys sort as pairs
+    do, so a simple row's indices come increasing, e_0 < ... < e_{m-1}.
+    Its lexicographic rank is C(N, m) - 1 - sum_j C(N - 1 - e_j, m - j):
+    the sum counts the m-subsets that come after it.  e_j lies in
+    j..j + N - m, so the binomials are kept as a band, band[j, e_j - j],
+    of m * (N - m + 1) <= m * C(N, m) entries, which _class_size bounds;
+    for m >= 1, m * C(N, m) >= N, so that bounds the (n + 1)^2 pair
+    table too.  A key of a loop, of an endpoint past n or outside the
+    table (np.take clips it onto key 0 or the loop (n, n)) has index -1,
+    and a repeat makes a row that does not increase.
+    """
     if m == 0:
-        return np.zeros(r, dtype=np.int64)
-    keys = keys.astype(">i8")
-    return keys.view(np.dtype((np.void, keys.itemsize * m))).ravel()
+        return lambda key: np.zeros(key.shape[0], dtype=np.int64)
+    pairs = comb(n, 2)
+    total = comb(pairs, m)
+    u, v = np.triu_indices(n, 1)
+    index = np.full((n + 1) ** 2, -1, dtype=np.int64)
+    index[(u + 1) * (n + 1) + v + 1] = np.arange(pairs)
+    width = pairs - m + 1
+    band = np.array([comb(pairs - 1 - j - d, m - j)
+                     for j in range(m) for d in range(width)], dtype=np.int64)
+    shift = np.arange(m)[:, None] * (width - 1)  # band[j, e - j]: e + shift[j]
+
+    def ranks(key: np.ndarray) -> np.ndarray:
+        e = np.take(index, key.T, mode="clip")  # e[j] is every row's e_j
+        if not ((e[0] >= 0).all() and (e[1:] > e[:-1]).all()):
+            raise RuntimeError("a sample outside the enumerated class")
+        return total - 1 - band.take(e + shift).sum(axis=0)
+
+    return ranks
 
 
 def exact_census_gnm(n: int, m: int, trials: int,
                      rng=None) -> UniformityReport:
-    """Compare sample_gnm against brute-force enumeration.
+    """Compare sample_gnm against the uniform law on G(n, m).
 
-    Draws `trials` samples and counts how often each enumerated graph
+    Draws `trials` samples and counts how often each graph of the class
     appears, then reports the total-variation distance to uniform plus a
     chi-square statistic.  The samples come from sample_gnm's own
     rejection loop, so they are the graphs of `trials` sample_gnm calls
-    on the same generator.  With trials = 0 the report carries the
+    on the same generator.  Each graph is counted at its index in
+    enumerate_gnm(n, m), its lexicographic rank (_lex_ranks); the class
+    is counted, not listed.  With trials = 0 the report carries the
     degenerate distance 1 - 1/graph_count and flags itself; the flag also
     trips whenever trials < graph_count.
     """
     n, m = _gnm_size(n, m)
     trials = _at_least("trials", trials, 0)
-    graphs = enumerate_gnm(n, m)
-    total = len(graphs)
-    edges = np.stack([g.edges for g in graphs])
-    known = _row_items(_edge_keys(n, edges[..., 0], edges[..., 1]))
+    total = _class_size(n, m)
+    ranks = _lex_ranks(n, m)
     rng = np.random.default_rng(rng)
     counts = np.zeros(total, dtype=np.int64)
     for key, _ in _simple_pairings(n, m, trials, rng, DEFAULT_GNM_CAP):
-        keys = _row_items(key)
-        at = np.searchsorted(known, keys).clip(max=total - 1)
-        if not (known[at] == keys).all():
-            raise RuntimeError("a sample outside the enumerated class")
-        counts += np.bincount(at, minlength=total)
+        counts += np.bincount(ranks(key), minlength=total)
     counts = counts.tolist()
     if trials == 0:
         return UniformityReport(total, 0, 1.0 - 1.0 / total, None, True,

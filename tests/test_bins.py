@@ -181,6 +181,27 @@ class TestExpectedCensus:
         total = sum(expected_census(n, k, j) for j in range(k + 1))
         assert total == pytest.approx(n, rel=1e-9)
 
+    @pytest.mark.parametrize("n, k, load, want", [
+        (10, 10**306, 1, 0.0),
+        (10**306, 10**306, 0, 1e306 / math.e),
+    ], ids=["k-past-the-range", "n-and-k-past-the-range"])
+    def test_past_the_range_of_lgamma(self, n, k, load, want):
+        # lgamma(k + 1) overflows for k past about 2.5e305
+        assert expected_census(n, k, load) == pytest.approx(want, rel=1e-9)
+
+    def test_agrees_with_the_lgamma_formula(self):
+        def by_lgamma(n, k, load):
+            log_binom = (math.lgamma(k + 1) - math.lgamma(load + 1)
+                         - math.lgamma(k - load + 1))
+            return math.exp(math.log(n) + log_binom - load * math.log(n)
+                            + (k - load) * math.log1p(-1.0 / n))
+
+        for n in (2, 3, 10, 1000, 10**6):
+            for k in (0, 1, 2, 5, 14, 15, 16, 50, 200):
+                for load in range(k + 1):
+                    assert expected_census(n, k, load) == pytest.approx(
+                        by_lgamma(n, k, load), rel=1e-12, abs=0.0)
+
 
 class TestLoadBehavior:
     def test_census_mean_tracks_prediction(self):

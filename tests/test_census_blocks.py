@@ -187,11 +187,15 @@ def test_class_over_the_edge_bound_is_refused_before_listing():
     assert len(enumerate_gnm(7, 4)) == 5985  # 23 940 edges, under the bound
 
 
-@pytest.mark.parametrize("missing", [0, 1, 2])
-def test_sample_outside_the_class_is_refused(monkeypatch, missing):
-    graphs = enumerate_gnm(3, 2)
-    del graphs[missing]
-    monkeypatch.setattr(samplers, "enumerate_gnm", lambda n, m: graphs)
+# rows of sorted keys u * 4 + v of G(3, 2), whose pairs have keys 6, 7, 11:
+# the loop (1, 1) = 5 before a pair, the pair (1, 2) twice, and (3, 4) = 16,
+# an endpoint past n whose key lies past every key of a pair on {1..3}
+OUTSIDE = [[5, 7], [6, 6], [7, 16]]
+
+
+@pytest.mark.parametrize("outside", range(len(OUTSIDE)))
+def test_sample_outside_the_class_is_refused(outside):
+    keys = np.array([[6, 7], OUTSIDE[outside], [7, 11]])
     with pytest.raises(RuntimeError,
                        match="a sample outside the enumerated class"):
-        exact_census_gnm(3, 2, 50, 0)
+        samplers._lex_ranks(3, 2)(keys)
