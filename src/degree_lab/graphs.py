@@ -26,11 +26,12 @@ The decomposition kernels are array operations with no sort over the
 vertices: component labels come from one scipy pass over the canonical
 rows (see _components), and the core peel removes a whole frontier of
 degree <= 1 vertices per round, each leaf finding its one neighbour as
-the running sum of its live neighbours' labels (see _peel_to_core).
+the running sum of its live neighbours' labels (see _peel_degrees).
+has_complex_component reads its answer off the peel's degrees alone,
+with no component pass; core_of and split label components as well.
 Rows are picked with np.compress, which is faster than a boolean index
-on a 2-D array.  core_of, split
-and has_complex_component each give their route, and why it is exact,
-in their own docstrings.
+on a 2-D array.  core_of, split and has_complex_component each give
+their route, and why it is exact, in their own docstrings.
 
 The loop and repeat tests mark the rows that hold a hit from the flat
 positions of the hits (_rows_with).  On a block of thousands of short
@@ -170,6 +171,12 @@ def _simple_keys(n: int, u: np.ndarray, v: np.ndarray):
     return np.compress(simple, rows), np.compress(simple, key, axis=0)
 
 
+def _is_simple(g) -> bool:
+    """Whether g's rows hold no loop and no repeated edge."""
+    rows, _ = _simple_keys(g.n, g.edges[None, :, 0], g.edges[None, :, 1])
+    return bool(rows.size)
+
+
 class _EdgeListGraph:
     """A graph stored as n plus a canonical edge array.
 
@@ -225,9 +232,7 @@ class MultiGraph(_EdgeListGraph):
     __slots__ = ("n", "edges")
     simple_only = False
 
-    def is_simple(self) -> bool:
-        return bool(_simple_keys(self.n, self.edges[None, :, 0],
-                                 self.edges[None, :, 1])[0].size)
+    is_simple = _is_simple
 
 
 class GraphSlice(_EdgeListGraph):
@@ -341,19 +346,14 @@ def classify_component(vertex_count: int, edge_count: int) -> str:
     """Classify a connected component by its excess edge_count - vertex_count."""
     if edge_count < vertex_count - 1:
         raise GraphError("not a connected component: too few edges")
-    excess = edge_count - vertex_count
-    if excess == -1:
-        return TREE
-    if excess == 0:
-        return UNICYCLIC
-    return COMPLEX
+    return {-1: TREE, 0: UNICYCLIC}.get(edge_count - vertex_count, COMPLEX)
 
 
 def _complex_components(n: int, edges: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Component label per vertex, and which components are complex."""
+    """Component label per vertex, and whether it lies in a complex one."""
     labels, vcounts, ecounts = _component_stats(n, edges)
-    return labels, ecounts >= vcounts + 1
+    return labels, (ecounts >= vcounts + 1)[labels]
 
 
 def _compact_edges(part: GraphSlice) -> np.ndarray:
@@ -362,29 +362,23 @@ def _compact_edges(part: GraphSlice) -> np.ndarray:
 
 
 def has_complex_component(g: LabeledGraph) -> bool:
-    """Whether some component of g has excess >= 1, on multigraphs too.
+    """Whether some component of g has excess >= 1, on multigraphs too:
+    whether some vertex keeps a live degree >= 3 after the core peel.
 
-    Drops every vertex of degree <= 1 with its edges in one pass, ranks
-    the rest onto 1..k in label order (which keeps the rows canonical),
-    and runs the one component pass on what is left.  No component
-    changes its excess class: a vertex of degree 0 is a tree, two
-    adjacent vertices of degree 1 are a K2, also a tree, and each other
-    vertex of degree 1 takes one vertex and one edge from a component
-    that stays connected.  A loop counts 2 towards its vertex's degree,
-    so the rule holds on multigraphs too.  This is one round, not the
-    full peel.
+    Peeling a vertex of degree one keeps each component's excess class
+    (see core_of), so g has a complex component exactly when its 2-core
+    has one.  A 2-core component has minimum degree 2 and edges equal to
+    half its degree sum, so its excess is at least 1 exactly when some
+    vertex has degree at least 3.  A peeled vertex keeps a degree of at
+    most one, and a loop counts 2, so the rule holds on multigraphs too.
+    No component pass is made.
     """
-    inner = np.bincount(g.edges.ravel(), minlength=g.n + 1) > 1
-    edges = np.compress(inner[g.edges[:, 0]] & inner[g.edges[:, 1]],
-                        g.edges, axis=0)
-    rank = np.cumsum(inner)  # inner[0] is False: labels start at 1
-    return bool(_complex_components(int(rank[-1]), rank[edges])[1].any())
+    return bool((_peel_degrees(g) > 2).any())
 
 
 def complex_part(g: LabeledGraph) -> GraphSlice:
     """Union of all components with excess >= 1, labels preserved."""
-    labels, is_complex = _complex_components(g.n, g.edges)
-    return GraphSlice(g, is_complex[labels])
+    return GraphSlice(g, _complex_components(g.n, g.edges)[1])
 
 
 # frontiers thinner than this are peeled one vertex at a time: a round of
@@ -397,7 +391,7 @@ def _neighbour_sums(size: int, edges: np.ndarray) -> np.ndarray:
     loop counting v twice, in int64 (so modulo 2**64).
 
     Built with np.add.at over the two 1-D endpoint columns, which runs
-    on ufunc.at's fast path.  See _peel_to_core for why a vertex of
+    on ufunc.at's fast path.  See _peel_degrees for why a vertex of
     degree one reads its one neighbour off its sum exactly.
     """
     nsum = np.zeros(size, dtype=np.int64)
@@ -407,11 +401,13 @@ def _neighbour_sums(size: int, edges: np.ndarray) -> np.ndarray:
     return nsum
 
 
-def _peel_to_core(part) -> GraphSlice:
+def _peel_degrees(part) -> np.ndarray:
     """Peel vertices of degree <= 1, one frontier per round; O(order + size).
 
     part is any graph with canonical rows (LabeledGraph, MultiGraph or
-    GraphSlice); the result is a slice of part.  Everything is read off
+    GraphSlice); the result is deg, indexed by label up to the largest
+    endpoint: at least two on the vertices the peel keeps, their live
+    degrees, and at most one elsewhere.  Everything is read off
     part.edges, and a loop counts 2 towards its vertex's degree.
 
     deg[v] is the live degree of v, and nsum[v] the sum of its live
@@ -470,7 +466,12 @@ def _peel_to_core(part) -> GraphSlice:
             nsum[x] -= y
             if deg[x] == 1:
                 stack.append(x)
-    return GraphSlice(part, deg[1:] > 1)
+    return deg
+
+
+def _peel_to_core(part) -> GraphSlice:
+    """The vertices the peel keeps, as a slice of part (_peel_degrees)."""
+    return GraphSlice(part, _peel_degrees(part)[1:] > 1)
 
 
 def core_of(g: LabeledGraph) -> GraphSlice:
@@ -486,10 +487,10 @@ def core_of(g: LabeledGraph) -> GraphSlice:
     unicyclic components leave, and the components of excess >= 1 are
     the core of the complex part.
     """
-    core = _peel_to_core(g)
-    labels, is_complex = _complex_components(core.order, _compact_edges(core))
-    keep = np.zeros(g.n, dtype=bool)
-    keep[core.vertices[is_complex[labels]] - 1] = True
+    keep = _peel_degrees(g)[1:] > 1
+    core = GraphSlice(g, keep)
+    # core.vertices are keep's picks in order, as _compact_edges numbers them
+    keep[keep] = _complex_components(core.order, _compact_edges(core))[1]
     return GraphSlice(core, keep)
 
 
@@ -501,8 +502,7 @@ def split(g: LabeledGraph) -> Decomposition:
     complex component stays connected as it is peeled, so g's labels
     name its one core part, and the core needs no second pass.
     """
-    labels, is_complex = _complex_components(g.n, g.edges)
-    in_complex = is_complex[labels]
+    labels, in_complex = _complex_components(g.n, g.edges)
     core = _peel_to_core(GraphSlice(g, in_complex))
     # g's labels name the core components, and argmax takes the first
     # core vertex in a largest one: ties go to the smallest core label

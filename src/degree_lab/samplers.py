@@ -27,8 +27,8 @@ import numpy as np
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
 from .graphs import (Decomposition, GraphError, LabeledGraph, MultiGraph,
-                     _at_least, _Checked, _compact_edges, _key_rows,
-                     _order, _simple_keys, _split_keys, _whole,
+                     _at_least, _Checked, _compact_edges, _is_simple,
+                     _key_rows, _order, _simple_keys, _split_keys, _whole,
                      has_complex_component, split)
 
 DEFAULT_GNM_CAP = 10_000
@@ -174,7 +174,7 @@ def validate_core_graph(g: LabeledGraph) -> Decomposition:
     the complex part and nothing was peeled, so every degree is at least
     two.  Raises GraphError otherwise.
     """
-    if not _simple_keys(g.n, g.edges[None, :, 0], g.edges[None, :, 1])[0].size:
+    if not _is_simple(g):
         raise GraphError("core graph must be simple: no loop, no repeated edge")
     parts = split(g)
     if parts.core.order < g.n:
@@ -352,13 +352,26 @@ class UniformityReport:
 
 
 def _class_size(n: int, m: int) -> int:
-    """The number of simple graphs on {1..n} with m edges, C(C(n, 2), m),
-    refused when the class holds more than ENUMERATION_CAP graphs or
-    more than ENUMERATION_EDGE_CAP edges over all its graphs."""
-    total = comb(comb(n, 2), m)
+    """The number of simple graphs on {1..n} with m edges, C(N, m) for
+    N = C(n, 2), refused when the class holds more than ENUMERATION_CAP
+    graphs or more than ENUMERATION_EDGE_CAP edges over all its graphs.
+
+    C(N, m) = C(N, k) for k = min(m, N - m), and C(N, j) grows with j up
+    to k, so the walk C(N, j) = C(N, j - 1) (N - j + 1) / j stops as soon
+    as it passes ENUMERATION_CAP: a huge class is refused in a few steps,
+    and no count of more than a few digits is formed.
+    """
+    pairs = comb(n, 2)
+    total = int(m <= pairs)
+    for j in range(1, min(m, pairs - m) + 1):
+        total = total * (pairs - j + 1) // j
+        if total > ENUMERATION_CAP:
+            break
     if total > ENUMERATION_CAP or total * m > ENUMERATION_EDGE_CAP:
-        raise ValueError(f"{total} graphs of {m} edges is too many to "
-                         "enumerate")
+        many = total if total <= ENUMERATION_CAP else f"over {ENUMERATION_CAP}"
+        raise ValueError(f"{many} graphs of {m} edges is too many to enumerate"
+                         f" (caps: {ENUMERATION_CAP} graphs, "
+                         f"{ENUMERATION_EDGE_CAP} edges over the class)")
     return total
 
 

@@ -11,6 +11,7 @@ generator in the same state; the single-pairing samplers must give the
 same graphs and attempt counts.
 """
 import math
+import time
 
 import numpy as np
 import pytest
@@ -185,6 +186,36 @@ def test_class_over_the_edge_bound_is_refused_before_listing():
     assert result.stderr.startswith("degree-lab: error: 9870 graphs of "
                                     "9869 edges is too many to enumerate")
     assert len(enumerate_gnm(7, 4)) == 5985  # 23 940 edges, under the bound
+
+
+def test_class_size_walk_matches_the_exact_count():
+    # the walk runs to min(m, N - m), so classes past the middle, such as
+    # G(7, 20) with 21 graphs, are counted, not refused
+    edge_cap = samplers.ENUMERATION_EDGE_CAP
+    for n in range(13):
+        pairs = math.comb(n, 2)
+        for m in range(pairs + 2):
+            total = math.comb(pairs, m)
+            if total <= ENUMERATION_CAP and total * m <= edge_cap:
+                assert samplers._class_size(n, m) == total, (n, m)
+            else:
+                with pytest.raises(ValueError, match="too many to enumerate"):
+                    samplers._class_size(n, m)
+
+
+def test_huge_class_is_refused_at_once_naming_the_caps():
+    # C(C(10**5, 2), m) has over 4 300 digits at both sizes
+    result = run_capped(["-m", "degree_lab.cli", "census", "--n", "100000",
+                         "--m", "5000", "--trials", "1"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "too many to enumerate" in result.stderr
+    assert (f"{ENUMERATION_CAP} graphs, {samplers.ENUMERATION_EDGE_CAP} "
+            "edges") in result.stderr
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too many to enumerate"):
+        exact_census_gnm(10**5, 5 * 10**4, 1)
+    assert time.perf_counter() - start < 0.1
 
 
 # rows of sorted keys u * 4 + v of G(3, 2), whose pairs have keys 6, 7, 11:

@@ -1,12 +1,15 @@
-"""The leaf-stripped complex test, and the rows a G(n, m) draw hands over.
+"""The peel-degree complex test, and the rows a G(n, m) draw hands over.
 
-has_complex_component drops every vertex of degree <= 1 with its edges
-before its one component pass.  The reference is the unstripped rule,
-_complex_components over the whole graph, and networkx is the oracle on
-a subset: both must agree with it on every simple graph with at most
-five vertices, on random multigraphs with loops and repeated edges, on
-named shapes where the strip matters (K2 components, stars, pendant
-paths, a theta) and on large G(n, m) draws near the critical point.
+has_complex_component peels the graph to its 2-core and answers whether
+some vertex keeps degree >= 3, with no component pass.  The reference,
+unstripped, is the component rule over the whole graph with no peel
+(_complex_components), and networkx is the oracle on a subset: both
+must agree with it on every simple graph with at most five vertices, on
+random multigraphs with loops and repeated edges, on named shapes where
+the peel matters (K2 components, stars, pendant paths, a theta) and on
+large G(n, m) draws near the critical point.  With graphs._components
+made to raise, it must still answer the named shapes and the random
+multigraphs.
 
 sample_gnm_counted builds its graph from the keys the simplicity test
 sorted, as checked rows.  The oracle is the checked path: the same
@@ -19,6 +22,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from degree_lab import graphs
 from degree_lab.graphs import (LabeledGraph, MultiGraph, _complex_components,
                                has_complex_component)
 from degree_lab.samplers import (sample_cs_counted, sample_gnm,
@@ -130,6 +134,21 @@ def test_random_multigraphs():
 def test_random_multigraphs_against_networkx():
     for g in random_multigraphs(300, 8):
         assert has_complex_component(g) == networkx_says(g)
+
+
+def test_no_component_pass(monkeypatch):
+    multigraphs = list(random_multigraphs(3000, 7))
+    wants = [unstripped(g) for g in multigraphs]
+
+    def refuse(*args):
+        raise AssertionError("has_complex_component made a component pass")
+
+    monkeypatch.setattr(graphs, "_components", refuse)
+    for name, (n, edges, want) in SHAPES.items():
+        assert has_complex_component(LabeledGraph(n, edges)) == want, name
+    for g, want in zip(multigraphs, wants):
+        assert has_complex_component(g) == want, (g.n, g.edges.tolist())
+    assert set(wants) == {False, True}
 
 
 def test_multigraph_shapes_the_strip_keeps():

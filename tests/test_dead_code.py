@@ -1,6 +1,6 @@
 """Dead code in src/degree_lab, found with the standard-library ast module.
 
-Five checks stand in for a linter:
+Six checks stand in for a linter:
 
 - every name a module imports is used in it, or listed in its __all__
   (the package __init__ only re-exports, so it is exempt);
@@ -12,7 +12,10 @@ Five checks stand in for a linter:
 - each refusal is written once: no message template is raised from more
   than one function;
 - the vertex limit is kept in one module: no module but graphs.py reads
-  MAX_VERTICES, so every other count is refused through graphs._order.
+  MAX_VERTICES, so every other count is refused through graphs._order;
+- scipy is kept in one function: no module but graphs.py imports it, and
+  no function but graphs._components reads a name imported from it, so
+  where and when scipy is imported is a change to that one function.
 """
 import ast
 from pathlib import Path
@@ -131,24 +134,33 @@ def template(node: ast.expr) -> str | None:
     return None
 
 
-def raised_templates(tree: ast.Module) -> set[tuple[str, str]]:
-    """(template, function) for each raise of an exception built from a
-    message, by the innermost function that holds the raise."""
-    found = set()
+def by_function(tree: ast.Module) -> list[tuple[ast.AST, str]]:
+    """(node, function) for each node that is not a function definition,
+    by the innermost function that holds it ("<module>" outside any)."""
+    found = []
 
     def visit(node: ast.AST, func: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Raise)
-                    and isinstance(child.exc, ast.Call) and child.exc.args):
-                text = template(child.exc.args[0])
-                if text is not None:
-                    found.add((text, func))
+            found.append((child, func))
             visit(child, func)
 
     visit(tree, "<module>")
+    return found
+
+
+def raised_templates(tree: ast.Module) -> set[tuple[str, str]]:
+    """(template, function) for each raise of an exception built from a
+    message, by the innermost function that holds the raise."""
+    found = set()
+    for node, func in by_function(tree):
+        if (isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call) and node.exc.args):
+            text = template(node.exc.args[0])
+            if text is not None:
+                found.add((text, func))
     return found
 
 
@@ -169,3 +181,30 @@ def test_only_graphs_reads_the_vertex_limit():
                and "MAX_VERTICES" in loaded(parse(path))]
     assert not readers, ("MAX_VERTICES read outside graphs.py: "
                          + ", ".join(readers))
+
+
+def scipy_names(tree: ast.Module) -> set[str]:
+    """Names the module binds by importing scipy or from it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names
+                         if alias.name.split(".")[0] == "scipy")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "scipy"):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_only_components_calls_scipy():
+    users = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        names = scipy_names(tree)
+        if names:
+            users[path.name] = {func for node, func in by_function(tree)
+                                if isinstance(node, ast.Name)
+                                and node.id in names}
+    assert users == {"graphs.py": {"_components"}}, (
+        "scipy imported or read outside graphs._components: " + repr(users))
