@@ -16,10 +16,13 @@ from .graphs import _at_least, _order, _whole
 
 def _integers(name: str, a) -> np.ndarray:
     """a as an int64 array, refused unless of integer dtype: floats and
-    bools are never truncated or counted."""
+    bools are never truncated or counted, and an unsigned value past the
+    int64 range is refused rather than wrapped negative."""
     a = np.asarray(a)
     if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got {a.dtype}")
+    if a.size and a.dtype.kind == "u" and int(a.max()) > 2**63 - 1:
+        raise ValueError(f"{name} must fit in int64, got {a.max()}")
     return a.astype(np.int64, copy=False)
 
 

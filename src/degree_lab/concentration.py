@@ -28,6 +28,9 @@ REGIME_WINDOW = "II"
 REGIME_ABOVE = "III"
 OUT_OF_SCOPE = "out-of-scope"
 
+# the default window half-width, of predicted_interval and of every experiment
+DEFAULT_EPSILON = 0.25
+
 _MAX_BRACKET = 1e300
 
 
@@ -124,7 +127,7 @@ def typical_max_load(n: float, k: float | None = None) -> float:
 
 
 def predicted_interval(n: float, k: float | None = None,
-                       eps: float = 0.25) -> tuple[int, int]:
+                       eps: float = DEFAULT_EPSILON) -> tuple[int, int]:
     """Integer window [floor(load - eps), floor(load + eps)].
 
     For eps < 1/2 this has one or two points and the maximum load falls

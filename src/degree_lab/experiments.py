@@ -27,8 +27,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bins import throw_balls
-from .concentration import (predicted_interval, two_point_prediction,
-                            typical_max_load)
+from .concentration import (DEFAULT_EPSILON, predicted_interval,
+                            two_point_prediction, typical_max_load)
 from .edgelist import _read_simple_graph
 from .forests import sample_forest_degrees
 from .graphs import LabeledGraph, _whole, core_of, split
@@ -38,7 +38,6 @@ from .samplers import (PipelineSpec, SamplingCapExceeded, exact_census_gnm,
 from .seeding import trial_seed
 
 DEFAULT_TRIALS = 100
-DEFAULT_EPSILON = 0.25
 DEFAULT_THRESHOLD = 0.9
 DEFAULT_CENSUS_THRESHOLD = 0.05
 
@@ -249,12 +248,14 @@ def _pipeline_window(cfg):
 
 
 _N = Flag("--n", "n", low=1)
-_TRIALS = (Flag("--trials", "trials", help="number of trials (default 100)",
+_TRIALS = (Flag("--trials", "trials",
+                help=f"number of trials (default {DEFAULT_TRIALS})",
                 required=False, low=1),
            Flag("--seed", "master_seed", help="master seed (default 0)",
                 required=False))
 _EPS = Flag("--eps", "epsilon", float,
-            help="interval half-width (default 0.25)", required=False)
+            help=f"interval half-width (default {DEFAULT_EPSILON})",
+            required=False)
 _CORE = Flag("--core", "core", str, help="edge-list file holding the core",
              load=_read_simple_graph, metavar="FILE")
 

@@ -27,8 +27,9 @@ vertices: component labels come from one scipy pass over the canonical
 rows (see _components), and the core peel removes a whole frontier of
 degree <= 1 vertices per round, each leaf finding its one neighbour as
 the running sum of its live neighbours' labels (see _peel_degrees).
-has_complex_component reads its answer off the peel's degrees alone,
-with no component pass; core_of and split label components as well.
+has_complex_component and core_of read their answers off the peel
+alone, with no component pass; split, complex_part and components label
+components.
 Rows are picked with np.compress, which is faster than a boolean index
 on a 2-D array.  core_of, split and has_complex_component each give
 their route, and why it is exact, in their own docstrings.
@@ -356,11 +357,6 @@ def _complex_components(n: int, edges: np.ndarray
     return labels, (ecounts >= vcounts + 1)[labels]
 
 
-def _compact_edges(part: GraphSlice) -> np.ndarray:
-    """The slice's edges relabeled onto 1..order in increasing label order."""
-    return np.searchsorted(part.vertices, part.edges) + 1
-
-
 def has_complex_component(g: LabeledGraph) -> bool:
     """Whether some component of g has excess >= 1, on multigraphs too:
     whether some vertex keeps a live degree >= 3 after the core peel.
@@ -477,21 +473,29 @@ def _peel_to_core(part) -> GraphSlice:
 def core_of(g: LabeledGraph) -> GraphSlice:
     """Maximal subgraph of the complex part with minimum degree >= 2.
 
-    Peels all of g first, then labels only what is left.  Peeling a
-    vertex of degree one removes one vertex and one edge and keeps its
+    Read off the peel alone, with no component pass.  Peeling a vertex
+    of degree one removes one vertex and one edge and keeps its
     component connected, so each component keeps its excess: a tree
     vanishes (its last vertex has degree 0), a unicyclic component
     leaves a bare cycle, and a complex component leaves its connected
     core.  A 2-core component of excess 0 has minimum degree 2 and as
-    many edges as vertices, so the bare cycles are exactly what the
-    unicyclic components leave, and the components of excess >= 1 are
-    the core of the complex part.
+    many edges as vertices, so every degree in it is 2: the bare cycles
+    are exactly what the unicyclic components leave, and the rest of the
+    2-core is the core of the complex part.
+
+    So the bare cycles are the cycles formed by 2-core vertices of live
+    degree 2.  Each such vertex has two edges, so the edges among these
+    vertices form only paths and cycles (a loop or a double edge is a
+    cycle of length one or two).  A cycle among them holds both edges of
+    each of its vertices, so no edge leaves it: it is a whole 2-core
+    component of excess 0, and each bare cycle is such a cycle.  A
+    second peel of that slice removes its paths and keeps just its
+    cycles, which are dropped from the 2-core.
     """
-    keep = _peel_degrees(g)[1:] > 1
-    core = GraphSlice(g, keep)
-    # core.vertices are keep's picks in order, as _compact_edges numbers them
-    keep[keep] = _complex_components(core.order, _compact_edges(core))[1]
-    return GraphSlice(core, keep)
+    keep = _peel_degrees(g)[1:]
+    core = GraphSlice(g, keep > 1)
+    keep[_peel_to_core(GraphSlice(core, keep == 2)).vertices - 1] = 0
+    return GraphSlice(core, keep > 1)
 
 
 def split(g: LabeledGraph) -> Decomposition:

@@ -26,10 +26,10 @@ import numpy as np
 
 from .bins import throw_positions
 from .forests import sample_forest, sample_forest_degrees
-from .graphs import (Decomposition, GraphError, LabeledGraph, MultiGraph,
-                     _at_least, _Checked, _compact_edges, _is_simple,
-                     _key_rows, _order, _simple_keys, _split_keys, _whole,
-                     has_complex_component, split)
+from .graphs import (GraphError, LabeledGraph, MultiGraph, _at_least,
+                     _Checked, _is_simple, _key_rows, _order, _simple_keys,
+                     _split_keys, _whole, core_of, has_complex_component,
+                     split)
 
 DEFAULT_GNM_CAP = 10_000
 DEFAULT_CS_CAP = 100_000
@@ -162,25 +162,22 @@ def sample_cs(n: int, m: int, rng=None, *,
     return sample_cs_counted(n, m, rng, max_attempts=max_attempts)[0]
 
 
-def validate_core_graph(g: LabeledGraph) -> Decomposition:
+def validate_core_graph(g: LabeledGraph) -> None:
     """Check that g can occur as the core of a complex part: that g is
-    simple, as the graphs grown from it are, and is its own core; return
-    split(g), from which the check reads its answer.
+    simple, as the graphs grown from it are, and is its own core.
 
-    g is its own core exactly when every vertex has degree at least two
-    and every component has excess at least one.  If so, the complex part
-    is all of g, the peel removes nothing, and split(g)'s core keeps
-    every vertex; if that core keeps every vertex, every vertex lies in
-    the complex part and nothing was peeled, so every degree is at least
-    two.  Raises GraphError otherwise.
+    g is its own core exactly when core_of(g) keeps every vertex: then
+    every vertex lies in the complex part and nothing was peeled, so
+    every degree is at least two and every component has excess at
+    least one; and if those hold, the complex part is all of g and the
+    peel removes nothing.  core_of makes no component pass, so neither
+    does this check.  Raises GraphError otherwise.
     """
     if not _is_simple(g):
         raise GraphError("core graph must be simple: no loop, no repeated edge")
-    parts = split(g)
-    if parts.core.order < g.n:
+    if core_of(g).order < g.n:
         raise GraphError("core graph must be its own core: minimum degree 2 "
                          "and every component of excess >= 1")
-    return parts
 
 
 def _complex_order(core: LabeledGraph, q) -> int:
@@ -254,9 +251,9 @@ class PipelineSpec:
     vertices and hosts the remaining core components; the complex-free
     remainder gets the other spare_order vertices and spare_edges edges,
     chosen so that the whole graph has exactly m edges.  The two core
-    blocks, split(core)'s large and small complex parts, come from the
-    split that validate_core_graph returns, and are relabeled onto
-    {1..order} in increasing label order once, here.
+    blocks, split(core)'s large and small complex parts, are cut once,
+    here, after validate_core_graph has checked the core, and are
+    relabeled onto {1..order} in increasing label order.
 
     n, large_order and small_order are read as vertex counts
     (graphs._order) and m as a size at least 0 before the core is
@@ -276,8 +273,10 @@ class PipelineSpec:
         _order("large_order", self.large_order, 0)
         _order("small_order", self.small_order, 0)
         _at_least("m", self.m, 0)
-        parts = validate_core_graph(self.core)
-        large, rest = (LabeledGraph(p.order, _compact_edges(p))
+        validate_core_graph(self.core)
+        parts = split(self.core)
+        large, rest = (LabeledGraph(p.order,
+                                    np.searchsorted(p.vertices, p.edges) + 1)
                        for p in (parts.large_complex, parts.small_complex))
         if self.large_order < large.n:
             raise ValueError("large_order smaller than the largest core component")

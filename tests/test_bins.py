@@ -124,6 +124,8 @@ class TestLoadVectors:
         ([True, False], "loads must be integers, got bool"),
         ([-3], "loads must be non-negative"),
         ([0, 4, -1], "loads must be non-negative"),
+        (np.array([3, 2**63 + 5], dtype=np.uint64),
+         "loads must fit in int64, got 9223372036854775813"),
     ])
     def test_refused(self, loads, message):
         for read in (max_load, lambda a: prefix_max_load(a, 1), census):

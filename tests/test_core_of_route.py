@@ -6,7 +6,15 @@ peeling the complex part, and as split's core.  The graphs below are
 the ones on which the two routes could part: bare cycles and cycles
 with pendant trees (the 2-core holds them, the core does not), a cycle
 beside a complex component, forests, the empty graph, grown cores and
-G(n, m) draws around the giant-component threshold.
+G(n, m) draws around the giant-component threshold.  Multigraph bare
+cycles, a lone loop and a double edge, must leave the core too, while a
+triple edge and a loop on K4 stay in it.
+
+core_of drops the bare cycles with a second peel, of the 2-core
+vertices of live degree 2, and makes no component pass.  With
+_components made to raise, core_of, validate_core_graph, sample_complex
+and sample_complex_degrees must still give the answers they gave
+before, on all those shapes and on K4 grown to q = 1 000.
 
 _grow merges the core rows into the decoded forest rows instead of
 sorting them together; its rows must equal the sorted concatenation.
@@ -23,11 +31,13 @@ import numpy as np
 import pytest
 from test_checked_rows import assert_canonical_rows
 
+from degree_lab import forests, graphs
 from degree_lab.forests import sample_forest
-from degree_lab.graphs import (LabeledGraph, _key_rows, _peel_to_core,
-                               complex_part, core_of, split)
-from degree_lab.samplers import (_grow, sample_complex, sample_gnm,
-                                 sample_multigraph)
+from degree_lab.graphs import (GraphError, LabeledGraph, MultiGraph, _key_rows,
+                               _peel_to_core, complex_part, core_of, split)
+from degree_lab.samplers import (_grow, sample_complex, sample_complex_degrees,
+                                 sample_gnm, sample_multigraph,
+                                 validate_core_graph)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "degree_lab"
 FORESTS = PACKAGE / "forests.py"
@@ -125,6 +135,82 @@ def test_gnm_draws(ratio):
 def test_multigraph_draws():
     for (n, m), seed in itertools.product([(8, 7), (60, 50)], range(30)):
         assert_one_core(sample_multigraph(n, m, seed))
+
+
+@pytest.mark.parametrize("n, edges, kept", [
+    (1, [(1, 1)], []),
+    (2, [(1, 2), (1, 2)], []),
+    (2, [(1, 2)] * 3, [1, 2]),
+    (4, K4 + [(1, 1)], [1, 2, 3, 4]),
+    (3, [(1, 1), (1, 2), (2, 3)], []),
+    (7, K4 + [(5, 5), (6, 7), (6, 7)], [1, 2, 3, 4]),
+], ids=["loop", "double edge", "triple edge", "k4 with a loop",
+        "loop with a pendant path", "k4 beside a loop and a double edge"])
+def test_multigraph_bare_cycles(n, edges, kept):
+    g = MultiGraph(n, edges)
+    core = assert_one_core(g)
+    assert core.vertices.tolist() == kept
+    assert core.edge_set() == {e for e in g.edge_set() if e[0] in kept}
+    assert core.size == sum(u in kept for u, _ in edges)
+
+
+def route_graphs():
+    """The shapes above, as (name, graph) pairs."""
+    for n, edges in [(3, cycle(1, 3)), (50, cycle(1, 50)),
+                     (20, cycle(1, 3) + cycle(4, 7) + cycle(11, 10))]:
+        yield "bare cycles", LabeledGraph(n, edges)
+        yield "bare cycles relabeled", relabeled(n, edges, n)
+    for seed in range(5):
+        yield "pendant trees", LabeledGraph(
+            300, with_pendant_trees(300, 3 + seed, seed))
+    yield "cycle beside K4", LabeledGraph(
+        13, K4 + [(4, 5), (5, 6)] + cycle(7, 6) + [(12, 13)])
+    yield "K4 beside a triangle", LabeledGraph(7, K4 + cycle(5, 3))
+    for edges in (K4, THETA, cubic(10)):
+        yield "own core", LabeledGraph(max(max(e) for e in edges), edges)
+    for n, t, seed in [(1, 1, 0), (10, 3, 1), (500, 7, 2)]:
+        yield "forest", sample_forest(n, t, seed).as_graph()
+    yield "empty", LabeledGraph(0)
+    for seed in range(5):
+        yield "grown K4", sample_complex(LabeledGraph(4, K4), 1000, seed)
+    for ratio, seed in itertools.product([0.4, 0.5, 0.6, 1.0], range(5)):
+        yield "gnm", sample_gnm(1000, int(ratio * 1000), seed)
+    for (n, m), seed in itertools.product([(8, 7), (60, 50)], range(10)):
+        yield "multigraph", sample_multigraph(n, m, seed)
+    yield "loop", MultiGraph(1, [(1, 1)])
+    yield "double edge", MultiGraph(2, [(1, 2), (1, 2)])
+    yield "triple edge", MultiGraph(2, [(1, 2)] * 3)
+    yield "K4 with a loop", MultiGraph(4, K4 + [(1, 1)])
+
+
+def verdict(g):
+    """validate_core_graph's answer: None, or the GraphError message."""
+    try:
+        validate_core_graph(g)
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
+def test_no_component_pass(monkeypatch):
+    shapes = [(name, g, assert_one_core(g), verdict(g))
+              for name, g in route_graphs()]
+    k4 = LabeledGraph(4, K4)
+    grown = [(seed, sample_complex(k4, 1000, seed),
+              sample_complex_degrees(k4, 1000, seed)) for seed in range(5)]
+
+    def refuse(*args):
+        raise AssertionError("a component pass was made")
+
+    monkeypatch.setattr(graphs, "_components", refuse)
+    monkeypatch.setattr(forests, "_components", refuse)
+    for name, g, core, answer in shapes:
+        assert core_of(g) == core, name
+        assert verdict(g) == answer, name
+    assert {answer is None for *_, answer in shapes} == {False, True}
+    for seed, g, deg in grown:
+        assert sample_complex(k4, 1000, seed) == g
+        assert np.array_equal(sample_complex_degrees(k4, 1000, seed), deg)
 
 
 @pytest.mark.parametrize("edges", [K4, THETA, cubic(10)],
