@@ -8,6 +8,12 @@ a ConcentrationReport.  Reports serialize to JSON or CSV; reruns with
 the same master seed are byte-identical apart from the wall-clock entry,
 which can be excluded.
 
+Trials after the first run on a few threads (_run_trials), since numpy
+releases the interpreter lock in most of a trial's array work.  Each
+trial derives its own seed as it starts and hands back only its maximum,
+and the harness records the trials in index order, so a report does not
+depend on how many threads ran it.
+
 KIND_SPECS holds every kind: its command-line flags and its window,
 which predicts the maximum and hands back the trial that draws the
 vector.  run_experiment and the degree-lab command read nothing else.
@@ -18,8 +24,10 @@ import csv
 import io
 import json
 import math
+import os
 import time
-from collections import Counter
+from collections import Counter, deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from sys import float_info
 from typing import Callable, NamedTuple
@@ -40,6 +48,12 @@ from .seeding import trial_seed
 DEFAULT_TRIALS = 100
 DEFAULT_THRESHOLD = 0.9
 DEFAULT_CENSUS_THRESHOLD = 0.05
+
+# each thread holds one trial's working set, so peak memory grows with
+# the thread count
+_MAX_WORKERS = 4
+# trials submitted ahead of the one being recorded, per thread
+_IN_FLIGHT_PER_WORKER = 2
 
 
 @dataclass
@@ -335,6 +349,49 @@ def _checked_spec(cfg: ExperimentConfig) -> KindSpec:
     return spec
 
 
+def _worker_count(trials: int) -> int:
+    """Threads for trials 1..trials - 1: the CPUs this process may use,
+    at most _MAX_WORKERS and at most one a trial."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS, trials - 1)
+
+
+def _run_trials(run: Callable[[int], tuple], trials: int):
+    """Yield run(0), ..., run(trials - 1), in index order.
+
+    run(0) runs on the calling thread, so bad input fails there before
+    any other trial starts.  The rest run on _worker_count(trials)
+    threads, or on the calling thread when that is below two (a pool of
+    one only adds its overhead).  At most _IN_FLIGHT_PER_WORKER trials a
+    thread are submitted ahead of the one being yielded, so a huge trial
+    count queues nothing it has not started.  A trial's exception is
+    raised when its turn comes, so the lowest failing index wins; the
+    trials not yet started are then cancelled, those running are waited
+    for and their results dropped, and every thread has ended before
+    this generator finishes or raises.
+    """
+    yield run(0)
+    workers = _worker_count(trials)
+    if workers < 2:
+        for i in range(1, trials):
+            yield run(i)
+        return
+    pool = ThreadPoolExecutor(workers)
+    pending: deque = deque()
+    try:
+        for i in range(1, trials):
+            pending.append(pool.submit(run, i))
+            if len(pending) == workers * _IN_FLIGHT_PER_WORKER:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _trial_report(cfg: ExperimentConfig, spec: KindSpec,
                   threshold: float) -> ConcentrationReport:
     window = spec.window(cfg)
@@ -343,20 +400,23 @@ def _trial_report(cfg: ExperimentConfig, spec: KindSpec,
         params["eps"] = cfg.epsilon
     params["threshold"] = threshold
 
-    seeds: list[int] = []  # each derived when its trial comes up
+    def run(i):
+        """Trial i's seed, derived as it starts, its maximum (None when
+        capped), its draws and its checks; its vector dies here."""
+        seed = trial_seed(cfg.master_seed, i)
+        try:
+            values, passed, tries = window.trial(seed)
+        except SamplingCapExceeded as exc:
+            return seed, None, exc.attempts, {}
+        return seed, int(values.max(initial=0)), tries, passed
+
+    seeds: list[int] = []
     stats: list[int | None] = []
     checks: dict[str, int] = {}
     attempts = 0
-    for i in range(cfg.trials):
-        seeds.append(trial_seed(cfg.master_seed, i))
-        try:
-            values, passed, tries = window.trial(seeds[-1])
-        except SamplingCapExceeded as exc:
-            stats.append(None)
-            attempts += exc.attempts
-            continue
-        stats.append(int(values.max(initial=0)))
-        del values  # not held while the next trial builds its own
+    for seed, stat, tries, passed in _run_trials(run, cfg.trials):
+        seeds.append(seed)
+        stats.append(stat)
         attempts += tries
         for name, ok in passed.items():
             checks[name] = checks.get(name, 0) + (1 if ok else 0)

@@ -434,7 +434,11 @@ def _peel_degrees(part) -> np.ndarray:
     A frontier never grows, since each leaf frees at most its one live
     neighbour, so once it is thinner than _THIN_FRONTIER the rest (a
     thin tail, such as a pendant path) is peeled one vertex at a time
-    on the same arrays.
+    on the same arrays, read and written through memoryviews: numpy
+    scalar indexing costs more and holds the interpreter lock longer,
+    which limits how well trials run on threads (experiments).  A view
+    refuses a value outside int64 where the arrays wrap, so the tail
+    wraps its one subtraction by hand and the sums stay the arrays'.
     """
     deg = np.bincount(part.edges.ravel())
     nsum = _neighbour_sums(deg.size, part.edges)
@@ -454,14 +458,18 @@ def _peel_degrees(part) -> np.ndarray:
     # a vertex is stacked when its degree falls to one, which happens at
     # most once, so no vertex is stacked twice
     stack = frontier.tolist()
-    while stack:
-        y = stack.pop()
-        if deg[y]:
-            x = int(nsum[y])
-            deg[x] -= 1
-            nsum[x] -= y
-            if deg[x] == 1:
-                stack.append(x)
+    with memoryview(deg) as d, memoryview(nsum) as s:
+        while stack:
+            y = stack.pop()
+            if d[y]:
+                x = s[y]
+                d[x] -= 1
+                try:
+                    s[x] -= y
+                except ValueError:  # a view refuses to wrap; int64 does
+                    s[x] += (1 << 64) - y
+                if d[x] == 1:
+                    stack.append(x)
     return deg
 
 

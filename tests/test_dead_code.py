@@ -1,6 +1,6 @@
 """Dead code in src/degree_lab, found with the standard-library ast module.
 
-Six checks stand in for a linter:
+Seven checks stand in for a linter:
 
 - every name a module imports is used in it, or listed in its __all__
   (the package __init__ only re-exports, so it is exempt);
@@ -15,7 +15,10 @@ Six checks stand in for a linter:
   MAX_VERTICES, so every other count is refused through graphs._order;
 - scipy is kept in one function: no module but graphs.py imports it, and
   no function but graphs._components reads a name imported from it, so
-  where and when scipy is imported is a change to that one function.
+  where and when scipy is imported is a change to that one function;
+- threads are kept in one module: no module but experiments.py imports
+  concurrent.futures or threading, so the trial pool is the one place
+  the package runs threads, and no other module shares state across them.
 """
 import ast
 from pathlib import Path
@@ -208,3 +211,27 @@ def test_only_components_calls_scipy():
                                 and node.id in names}
     assert users == {"graphs.py": {"_components"}}, (
         "scipy imported or read outside graphs._components: " + repr(users))
+
+
+THREAD_MODULES = {"concurrent.futures", "threading"}
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Dotted names of the modules the module imports; `from a import b`
+    gives both a and a.b, since b may be a submodule."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_experiments_uses_threads():
+    users = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "experiments.py"
+             and imported_modules(parse(path)) & THREAD_MODULES]
+    assert not users, ("concurrent.futures or threading imported outside "
+                       "experiments.py: " + ", ".join(users))

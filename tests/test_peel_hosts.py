@@ -8,12 +8,18 @@ so a loop, a repeated edge and a row of K2 components meet the peel's
 array rounds, not only its single-vertex tail.  The reference is
 test_peel_fuzz's worklist peel of the slice that picks every vertex of
 the host.
+
+The neighbour sums wrap modulo 2**64 at a vertex with billions of rows,
+too many for a test; a test sets one core vertex's sum to the bottom of
+int64 instead (the peel never reads a core vertex's sum), so that the
+single-vertex tail's subtraction from it must wrap as int64 does.
 """
 import numpy as np
 import pytest
 
+import degree_lab.graphs as graphs
 from degree_lab.graphs import (_THIN_FRONTIER, GraphSlice, LabeledGraph,
-                               MultiGraph, _peel_to_core)
+                               MultiGraph, _peel_degrees, _peel_to_core)
 
 from test_peel_fuzz import K4, reference_peel
 
@@ -73,3 +79,21 @@ def test_random_hosts_with_isolated_vertices():
         if multi.is_simple():
             g = LabeledGraph(multi.n, multi.edges)
             assert _peel_to_core(g) == reference_peel(whole(g))
+
+
+def test_the_tail_wraps_a_sum_as_int64_does(monkeypatch):
+    g = HOSTS["a pendant path above a cycle"]  # core 1, 2, 3; tail 6, 5, 4
+    expected = _peel_degrees(g)
+    sums = graphs._neighbour_sums
+    made = []
+
+    def bottom_at_3(size, edges):
+        nsum = sums(size, edges)
+        nsum[3] = np.iinfo(np.int64).min
+        made.append(nsum)
+        return nsum
+
+    monkeypatch.setattr(graphs, "_neighbour_sums", bottom_at_3)
+    np.testing.assert_array_equal(_peel_degrees(g), expected)
+    # leaf 4 was subtracted: min - 4 modulo 2**64
+    assert made[0][3] == np.iinfo(np.int64).max - 3
