@@ -13,12 +13,18 @@ import numpy as np
 from .concentration import _in_float_range
 from .graphs import _at_least, _order, _whole
 
+# numpy refuses, without naming k, an array of more than intp-max bytes
+_MAX_BALLS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
+
 
 def _integers(name: str, a) -> np.ndarray:
-    """a as an int64 array, refused unless of integer dtype: floats and
-    bools are never truncated or counted, and an unsigned value past the
-    int64 range is refused rather than wrapped negative."""
+    """a as an int64 array, refused unless 1-D and of integer dtype:
+    rows are never read as bins, floats and bools are never truncated or
+    counted, and an unsigned value past the int64 range is refused rather
+    than wrapped negative."""
     a = np.asarray(a)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
     if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got {a.dtype}")
     if a.size and a.dtype.kind == "u" and int(a.max()) > 2**63 - 1:
@@ -35,9 +41,13 @@ def _loads(loads) -> np.ndarray:
 
 
 def throw_positions(n: int, k: int, rng=None) -> np.ndarray:
-    """Landing bins of k balls, one entry per ball, each uniform on 1..n."""
+    """Landing bins of k balls, one entry per ball, each uniform on 1..n.
+    A k past _MAX_BALLS is refused before any draw."""
     n = _order("n", n, 1)
     k = _at_least("k", k, 0)
+    if k > _MAX_BALLS:
+        raise ValueError(f"k = {k} exceeds the largest array of ball "
+                         f"positions, {_MAX_BALLS}")
     rng = np.random.default_rng(rng)
     return rng.integers(1, n + 1, size=k)
 

@@ -53,8 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in spec.flags:
             # an absent flag leaves the ExperimentConfig default in place
             kwargs = ({"action": "store_true"} if flag.type is bool else
-                      {"type": flag.type, "metavar": flag.metavar})
-            p.add_argument(flag.name, required=flag.required,
+                      {"type": flag.type,
+                       "metavar": flag.metavar or flag.name[2:].upper()})
+            p.add_argument(flag.name, dest=flag.field, required=flag.required,
                            default=argparse.SUPPRESS, help=flag.help,
                            **kwargs)
 
@@ -89,8 +90,8 @@ def _decompose_payload(path: str) -> bytes:
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(kind=args.command, threshold=args.threshold)
     for flag in KIND_SPECS[args.command].flags:
-        if hasattr(args, flag.dest):
-            value = getattr(args, flag.dest)
+        if hasattr(args, flag.field):
+            value = getattr(args, flag.field)
             setattr(cfg, flag.field,
                     value if flag.load is None else flag.load(value))
     return cfg

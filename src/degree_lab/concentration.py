@@ -108,7 +108,8 @@ def typical_max_load(n: float, k: float | None = None) -> float:
     while _objective(hi, n, k) > 0.0:
         hi *= 2.0
         if hi > _MAX_BRACKET:
-            raise ValueError("no bracket for the typical load")
+            raise ValueError(f"no bracket for the typical load of "
+                             f"k = {k:g} balls in n = {n:g} bins")
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -192,14 +193,13 @@ def two_point_prediction(n: int, m: int) -> TwoPointPrediction:
             with s = m - n/2,
       "III" floor(load(n, n) + 2/3).
 
-    Raises ValueError when classify_regime returns "out-of-scope".
+    Raises ValueError for m < 1, where load(n, 2m) is undefined, and
+    when classify_regime returns "out-of-scope".
     """
-    regime = classify_regime(n, m)
+    regime = classify_regime(n, _at_least("m", m, 1))
     if regime == OUT_OF_SCOPE:
         raise ValueError(f"(n={n}, m={m}) is outside the supported regimes")
     if regime == REGIME_BELOW:
-        if m < 1:
-            raise ValueError("need at least one edge")
         h = math.floor(typical_max_load(n, 2 * m) - 1.0 / 3.0)
     elif regime == REGIME_WINDOW:
         s = m - n / 2.0

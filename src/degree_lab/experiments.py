@@ -41,11 +41,12 @@ from .edgelist import _read_simple_graph
 from .forests import sample_forest_degrees
 from .graphs import LabeledGraph, _whole, core_of, split
 from .samplers import (PipelineSpec, SamplingCapExceeded, exact_census_gnm,
-                       sample_complex, sample_cs_counted, sample_gnm_counted,
-                       sample_pipeline)
+                       _gnm_size, sample_complex, sample_cs_counted,
+                       sample_gnm_counted, sample_pipeline)
 from .seeding import trial_seed
 
 DEFAULT_TRIALS = 100
+DEFAULT_SEED = 0
 DEFAULT_THRESHOLD = 0.9
 DEFAULT_CENSUS_THRESHOLD = 0.05
 
@@ -71,7 +72,7 @@ class ExperimentConfig:
     small_order: int | None = None
     epsilon: float = DEFAULT_EPSILON
     trials: int = DEFAULT_TRIALS
-    master_seed: int = 0
+    master_seed: int = DEFAULT_SEED
     threshold: float | None = None
     shuffle_labels: bool = False
 
@@ -117,10 +118,6 @@ class Flag:
     load: Callable | None = None
     metavar: str | None = None
 
-    @property
-    def dest(self) -> str:
-        return self.name[2:].replace("-", "_")
-
 
 class Window(NamedTuple):
     """A kind's trial and what it predicts before its trials run."""
@@ -155,10 +152,6 @@ class KindSpec:
     counts_attempts: bool = False
 
 
-def _int_if_whole(x: float) -> float | int:
-    return int(x) if float(x).is_integer() else x
-
-
 def _window(n: float, k: float | None, eps: float, shift: int = 0):
     """Load window of k balls in n bins and its anchor, moved up by shift."""
     lo, hi = predicted_interval(n, k, eps)
@@ -167,12 +160,15 @@ def _window(n: float, k: float | None, eps: float, shift: int = 0):
 
 
 def _nu_report(cfg: ExperimentConfig, threshold: float) -> ConcentrationReport:
-    k = cfg.k if cfg.k is not None else cfg.n
-    interval, anchor = _window(cfg.n, k, cfg.epsilon)
+    """The window of k balls (n by default) in n bins; a whole n or k is
+    reported as an int, however it was given."""
+    n, k = (int(x) if float(x).is_integer() else x
+            for x in (cfg.n, cfg.n if cfg.k is None else cfg.k))
+    interval, anchor = _window(n, k, cfg.epsilon)
     return ConcentrationReport(
-        kind=cfg.kind, params={"n": cfg.n, "k": k, "eps": cfg.epsilon},
+        kind=cfg.kind, params={"n": n, "k": k, "eps": cfg.epsilon},
         verdict="pass", master_seed=cfg.master_seed, interval=interval,
-        anchor=anchor, extras={"typicalLoad": typical_max_load(cfg.n, k)})
+        anchor=anchor, extras={"typicalLoad": typical_max_load(n, k)})
 
 
 def _census_report(cfg: ExperimentConfig,
@@ -265,8 +261,8 @@ _N = Flag("--n", "n", low=1)
 _TRIALS = (Flag("--trials", "trials",
                 help=f"number of trials (default {DEFAULT_TRIALS})",
                 required=False, low=1),
-           Flag("--seed", "master_seed", help="master seed (default 0)",
-                required=False))
+           Flag("--seed", "master_seed",
+                help=f"master seed (default {DEFAULT_SEED})", required=False))
 _EPS = Flag("--eps", "epsilon", float,
             help=f"interval half-width (default {DEFAULT_EPSILON})",
             required=False)
@@ -276,7 +272,7 @@ _CORE = Flag("--core", "core", str, help="edge-list file holding the core",
 KIND_SPECS: dict[str, KindSpec] = {
     "nu": KindSpec(
         "typical maximum load and its window",
-        (Flag("--n", "n", float, load=_int_if_whole, low=1),
+        (Flag("--n", "n", float, low=1),
          Flag("--k", "k", float, help="ball count (defaults to n)",
               required=False, low=1),
          _EPS),
@@ -292,7 +288,8 @@ KIND_SPECS: dict[str, KindSpec] = {
     "gnm": KindSpec(
         "maximum degree of a uniform graph with m edges",
         (*_TRIALS, _EPS, _N, Flag("--m", "m", low=1)),
-        lambda cfg: _counted_window(cfg, sample_gnm_counted, 2 * cfg.m),
+        lambda cfg: _counted_window(cfg, sample_gnm_counted,
+                                    2 * _gnm_size(cfg.n, cfg.m)[1]),
         counts_attempts=True),
     "cs": KindSpec(
         "maximum degree of a uniform complex-free graph",
@@ -311,7 +308,7 @@ KIND_SPECS: dict[str, KindSpec] = {
               low=0),
          Flag("--r", "small_order", help="order of the small complex part",
               low=0),
-         _N, Flag("--m", "m", low=0),
+         _N, Flag("--m", "m", low=1),
          Flag("--shuffle-labels", "shuffle_labels", bool,
               help="apply a uniform label permutation to each draw",
               required=False)),
@@ -364,9 +361,13 @@ def _run_trials(run: Callable[[int], tuple], trials: int):
 
     run(0) runs on the calling thread, so bad input fails there before
     any other trial starts.  The rest run on _worker_count(trials)
-    threads, or on the calling thread when that is below two (a pool of
-    one only adds its overhead).  At most _IN_FLIGHT_PER_WORKER trials a
-    thread are submitted ahead of the one being yielded, so a huge trial
+    threads, or on the calling thread when that is below two.  A pool of
+    one is left out for its memory, not for the 0.17 ms it costs:
+    sending trial 1 of a two-trial run to one thread raised grown-core
+    peak_rss_mb from 73.1-73.4 to 78.7-78.9 MB in 7 of 7 alternating
+    8 s runs, with the time unchanged.  The worker thread's own malloc
+    arena is the likely cause; that is not verified.  At most
+    _IN_FLIGHT_PER_WORKER trials a thread are submitted ahead of the one being yielded, so a huge trial
     count queues nothing it has not started.  A trial's exception is
     raised when its turn comes, so the lowest failing index wins; the
     trials not yet started are then cancelled, those running are waited

@@ -51,6 +51,15 @@ class TestThrow:
         with pytest.raises(ValueError):
             throw_balls(3, -1, rng=0)
 
+    @pytest.mark.parametrize("k", [2**62, 2**63])
+    def test_refuses_k_past_the_largest_array(self, k):
+        # 8 bytes a position; numpy's own refusal would not name k
+        top = np.iinfo(np.intp).max // 8
+        with pytest.raises(ValueError) as info:
+            throw_positions(10, k, rng=0)
+        assert str(info.value) == (f"k = {k} exceeds the largest array of "
+                                   f"ball positions, {top}")
+
     @given(n=st.integers(1, 40), k=st.integers(0, 120),
            seed=st.integers(0, 2 ** 20))
     @settings(max_examples=50, deadline=None)
@@ -94,6 +103,16 @@ class TestLoadsFromPositions:
     def test_accepts_integer_positions(self, positions, loads):
         assert loads_from_positions(3, positions).tolist() == loads
 
+    @pytest.mark.parametrize("positions, shape", [
+        ([[1, 2], [3, 1]], "(2, 2)"),
+        ([[1, 2]], "(1, 2)"),
+        (np.int64(2), "()"),
+    ])
+    def test_rejects_positions_that_are_not_one_row(self, positions, shape):
+        with pytest.raises(ValueError) as info:
+            loads_from_positions(5, positions)
+        assert str(info.value) == f"ball positions must be 1-D, got shape {shape}"
+
 
 class TestMaxAndPrefix:
     def test_max(self):
@@ -126,6 +145,9 @@ class TestLoadVectors:
         ([0, 4, -1], "loads must be non-negative"),
         (np.array([3, 2**63 + 5], dtype=np.uint64),
          "loads must fit in int64, got 9223372036854775813"),
+        ([[1, 2], [3, 4]], "loads must be 1-D, got shape (2, 2)"),
+        ([[1, 2]], "loads must be 1-D, got shape (1, 2)"),
+        (5, "loads must be 1-D, got shape ()"),
     ])
     def test_refused(self, loads, message):
         for read in (max_load, lambda a: prefix_max_load(a, 1), census):

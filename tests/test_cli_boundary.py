@@ -5,6 +5,27 @@ import re
 import pytest
 
 from degree_lab.cli import main
+from degree_lab.edgelist import write_edge_list
+from degree_lab.experiments import KIND_SPECS
+from degree_lab.graphs import LabeledGraph
+
+K4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+# small valid values of every required flag, per kind where they differ
+SMALL = {"--n": "60", "--k": "10", "--t": "2", "--m": "30", "--q": "10",
+         "--l": "10", "--r": "0"}
+SMALL_BY_KIND = {"census": {"--n": "4", "--m": "3"}}
+
+
+def huge_count_cases():
+    """Every int-typed count flag but --trials and --seed, at a value
+    inside the float range and at one past int64."""
+    for kind, spec in KIND_SPECS.items():
+        for flag in spec.flags:
+            if flag.type is int and flag.name not in ("--trials", "--seed"):
+                for label, value in (("10**306", 10**306), ("2**63", 2**63)):
+                    yield pytest.param(kind, flag, value,
+                                       id=f"{kind}{flag.name}={label}")
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -34,6 +55,37 @@ def test_bad_input_is_a_usage_error_naming_it(argv, name, capsys):
     assert code == 2
     assert captured.out == ""
     assert re.search(rf"error: .*\b{name}\b", captured.err)
+
+
+@pytest.mark.parametrize("kind, flag, value", list(huge_count_cases()))
+def test_a_huge_count_is_a_usage_error_naming_it(kind, flag, value, tmp_path,
+                                                 capsys):
+    # refused in the window or at the first trial's size readers, before
+    # an array of that size is made; nothing runs in a child process
+    core = tmp_path / "k4.txt"
+    write_edge_list(LabeledGraph(4, K4), core)
+    values = {**SMALL, **SMALL_BY_KIND.get(kind, {}), "--core": str(core),
+              flag.name: str(value)}
+    argv = [kind]
+    for f in KIND_SPECS[kind].flags:
+        if f.required:
+            argv += [f.name, values[f.name]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert re.search(rf"error: .*\b{flag.field}\b", captured.err)
+
+
+def test_pipeline_without_edges_is_a_usage_error_naming_m(tmp_path, capsys):
+    core = tmp_path / "k4.txt"
+    write_edge_list(LabeledGraph(4, K4), core)
+    code = main(["pipeline", "--core", str(core), "--l", "10", "--r", "0",
+                 "--n", "60", "--m", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert re.search(r"error: .*\bm\b", captured.err)
 
 
 def test_every_trial_capped_gives_a_valid_failing_report(capsysbinary):

@@ -123,6 +123,12 @@ class TestSolver:
         with pytest.raises(ValueError):
             typical_max_load(10.0, 0.2)  # ln k <= -1
 
+    def test_no_bracket_names_n_and_k(self):
+        # the load of 1e306 balls in 10 bins lies past the bracket limit
+        with pytest.raises(ValueError, match=r"^no bracket for the typical "
+                           r"load of k = 1e\+306 balls in n = 10 bins$"):
+            typical_max_load(10, 10**306)
+
 
 class TestNonFiniteInputs:
     """Infinite and NaN values, and ints past the float range, are refused
@@ -270,6 +276,10 @@ class TestTwoPoint:
         assert pred.upper - pred.lower == 1
         assert pred.contains(pred.lower) and pred.contains(pred.upper)
         assert not pred.contains(pred.lower - 1)
+
+    def test_needs_an_edge(self):
+        with pytest.raises(ValueError, match=r"^m must be at least 1, got 0$"):
+            two_point_prediction(10, 0)
 
     def test_rejects_out_of_scope(self):
         n = 10 ** 4
