@@ -160,9 +160,11 @@ def _window(n: float, k: float | None, eps: float, shift: int = 0):
 
 
 def _nu_report(cfg: ExperimentConfig, threshold: float) -> ConcentrationReport:
-    """The window of k balls (n by default) in n bins; a whole n or k is
-    reported as an int, however it was given."""
-    n, k = (int(x) if float(x).is_integer() else x
+    """The window of k balls (n by default) in n bins; a whole n or k
+    below 2**53 is reported as an int, however it was given.  Past 2**53
+    every float is whole, so a float stays a float there: its int would
+    print digits the input never had."""
+    n, k = (int(x) if float(x).is_integer() and abs(x) < 2**53 else x
             for x in (cfg.n, cfg.n if cfg.k is None else cfg.k))
     interval, anchor = _window(n, k, cfg.epsilon)
     return ConcentrationReport(

@@ -22,14 +22,43 @@ canonical array stay canonical, so complex_part, core_of and split cut
 their slices from the input graph, or from a slice of it, without
 sorting or checking again.
 
-The decomposition kernels are array operations with no sort over the
-vertices: component labels come from one scipy pass over the canonical
-rows (see _components), and the core peel removes a whole frontier of
-degree <= 1 vertices per round, each leaf finding its one neighbour as
-the running sum of its live neighbours' labels (see _peel_degrees).
-has_complex_component and core_of read their answers off the peel
-alone, with no component pass; split, complex_part and components label
-components.
+Every structural answer comes from one kernel, the peel (_peel), an
+array operation with no sort over the vertices: it removes a whole
+frontier of degree <= 1 vertices per round, each leaf finding its one
+neighbour as the running sum of its live neighbours' labels.
+has_complex_component and core_of read the peel's degrees alone;
+components, complex_part, split and RootedForest's input check read
+component roots off the same peel (_roots), in four steps:
+
+- Parents.  A vertex left at degree one was peeled with one live row,
+  and its sum is that row's other end, its parent, which is peeled
+  later or never.  Its other rows died before it, so nothing changes
+  its sum afterwards.  Every other vertex points at itself.
+- Pairs.  Two adjacent leaves peeled in the same array round remove
+  each other's row, and both end at degree 0 with no parent.  The rows
+  whose two ends both end at degree 0 are exactly these pairs: a vertex
+  peeled alone keeps degree one, a 2-core vertex keeps at least two,
+  and a vertex whose degree fell to 0 unpeeled lost each row to a leaf
+  that keeps degree one.  Each pair's larger end hooks onto its
+  smaller, joining the two halves of the tree (an edge alone is such a
+  tree); without the hook that tree would count as two components.
+- The 2-core.  Its rows are those with both ends kept, and a component's
+  2-core stays connected, since peeling a leaf never disconnects.  On
+  the 2-core vertices, numbered 0..k-1 in label order, each root hooks
+  onto the smallest root it shares a row with; pointer doubling then
+  takes every vertex to its root, and a row whose ends share a root is
+  dropped for good.  Hooks go only to smaller roots, so no cycle forms,
+  and each component ends named by its smallest 2-core vertex.  The
+  roots that do not hook in a round have no smaller root beside them.
+  One of them that no root hooked onto has only smaller roots beside
+  it after the round, so it hooks in the next; the others each took at
+  least one root.  So the roots of a component at least halve every
+  two rounds, and the loop ends within 2 log2(k) + 1 rounds.
+- Pointer doubling.  The parents form a forest whose roots are the
+  tree ends (degree 0) and the 2-core vertices, which now point at
+  their component's root.  Doubling over the vertices not yet at a
+  root (_jump) takes each there in log2 of its depth rounds.
+
 Rows are picked with np.compress, which is faster than a boolean index
 on a 2-D array.  core_of, split and has_complex_component each give
 their route, and why it is exact, in their own docstrings.
@@ -45,8 +74,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _cs_components
 
 TREE = "tree"
 UNICYCLIC = "unicyclic"
@@ -308,27 +335,20 @@ class Decomposition:
 
 
 def _components(n: int, edges: np.ndarray) -> tuple[int, np.ndarray]:
-    """Component count, and the 0-based component label of each vertex.
+    """Component count, and the 0-based component label of each vertex,
+    numbered by smallest member, as tests/test_component_order.py and
+    test_component_pass.py check.
 
-    edges must be canonical, as every graph and slice stores them: the
-    rows are then the upper triangle of the adjacency matrix in CSR
-    order, and indptr is the running count of u.  scipy's undirected
-    traversal opens a new label at each unlabelled vertex in increasing
-    order, so the labels come numbered by smallest member, as
-    tests/test_component_order.py and test_component_pass.py check.
+    One np.minimum.at gathers each component's smallest member into its
+    root's slot (_roots); the vertices that are their own smallest member
+    open the labels, in increasing order.
     """
-    indptr = np.cumsum(np.bincount(edges[:, 0], minlength=n + 1))
-    adj = csr_matrix((np.ones(edges.shape[0]), edges[:, 1] - 1, indptr),
-                     shape=(n, n))
-    return _cs_components(adj, directed=False)
-
-
-def _component_stats(n: int, edges: np.ndarray):
-    """Labels, and the vertex and edge count of each component."""
-    ncomp, labels = _components(n, edges)
-    vcounts = np.bincount(labels, minlength=ncomp)
-    ecounts = np.bincount(labels[edges[:, 0] - 1], minlength=ncomp)
-    return labels, vcounts, ecounts
+    root = _roots(n, edges)[0][1:]
+    first = np.full(n + 1, n, dtype=np.int64)
+    np.minimum.at(first, root, np.arange(n))
+    first = first[root]
+    opens = first == np.arange(n)
+    return int(opens.sum()), (np.cumsum(opens) - 1)[first]
 
 
 def components(g: LabeledGraph) -> list[tuple[np.ndarray, int]]:
@@ -336,7 +356,9 @@ def components(g: LabeledGraph) -> list[tuple[np.ndarray, int]]:
 
     Components are listed in order of their smallest vertex label.
     """
-    labels, vcounts, ecounts = _component_stats(g.n, g.edges)
+    ncomp, labels = _components(g.n, g.edges)
+    vcounts = np.bincount(labels, minlength=ncomp)
+    ecounts = np.bincount(labels[g.edges[:, 0] - 1], minlength=ncomp)
     groups = np.split(np.argsort(labels, kind="stable") + 1,
                       np.cumsum(vcounts)[:-1])
     # with no vertices np.split still gives one empty group; zip drops it
@@ -350,11 +372,14 @@ def classify_component(vertex_count: int, edge_count: int) -> str:
     return {-1: TREE, 0: UNICYCLIC}.get(edge_count - vertex_count, COMPLEX)
 
 
-def _complex_components(n: int, edges: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Component label per vertex, and whether it lies in a complex one."""
-    labels, vcounts, ecounts = _component_stats(n, edges)
-    return labels, (ecounts >= vcounts + 1)[labels]
+def _complex_components(n: int, edges: np.ndarray):
+    """The root of each vertex 1..n (_roots), whether it lies in a complex
+    component, one with more rows than vertices, and its peel degree."""
+    root, deg = _roots(n, edges)
+    order = np.bincount(root)
+    size = np.bincount(root[edges[:, 0]], minlength=order.size)
+    root = root[1:]
+    return root, (size > order)[root], deg[1:]
 
 
 def has_complex_component(g: LabeledGraph) -> bool:
@@ -387,7 +412,7 @@ def _neighbour_sums(size: int, edges: np.ndarray) -> np.ndarray:
     loop counting v twice, in int64 (so modulo 2**64).
 
     Built with np.add.at over the two 1-D endpoint columns, which runs
-    on ufunc.at's fast path.  See _peel_degrees for why a vertex of
+    on ufunc.at's fast path.  See _peel for why a vertex of
     degree one reads its one neighbour off its sum exactly.
     """
     nsum = np.zeros(size, dtype=np.int64)
@@ -397,14 +422,16 @@ def _neighbour_sums(size: int, edges: np.ndarray) -> np.ndarray:
     return nsum
 
 
-def _peel_degrees(part) -> np.ndarray:
+def _peel(edges: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Peel vertices of degree <= 1, one frontier per round; O(order + size).
 
-    part is any graph with canonical rows (LabeledGraph, MultiGraph or
-    GraphSlice); the result is deg, indexed by label up to the largest
-    endpoint: at least two on the vertices the peel keeps, their live
-    degrees, and at most one elsewhere.  Everything is read off
-    part.edges, and a loop counts 2 towards its vertex's degree.
+    edges are any graph's canonical rows (LabeledGraph, MultiGraph or
+    GraphSlice), and a loop counts 2 towards its vertex's degree.  The
+    result is deg and nsum, indexed by label up to the largest endpoint
+    or size - 1, whichever is larger.  deg is at least two on the
+    vertices the peel keeps, their live degrees, and at most one
+    elsewhere; a vertex left at degree one was peeled with one live row,
+    and its sum is that row's other end, its parent (_roots).
 
     deg[v] is the live degree of v, and nsum[v] the sum of its live
     neighbours' labels, one term per live row (_neighbour_sums).  A row
@@ -440,8 +467,8 @@ def _peel_degrees(part) -> np.ndarray:
     refuses a value outside int64 where the arrays wrap, so the tail
     wraps its one subtraction by hand and the sums stay the arrays'.
     """
-    deg = np.bincount(part.edges.ravel())
-    nsum = _neighbour_sums(deg.size, part.edges)
+    deg = np.bincount(edges.ravel(), minlength=size)
+    nsum = _neighbour_sums(deg.size, edges)
     slot = np.zeros(deg.size, dtype=np.int64)
 
     frontier = np.flatnonzero(deg == 1)
@@ -470,7 +497,52 @@ def _peel_degrees(part) -> np.ndarray:
                     s[x] += (1 << 64) - y
                 if d[x] == 1:
                     stack.append(x)
-    return deg
+    return deg, nsum
+
+
+def _peel_degrees(part) -> np.ndarray:
+    """The peel's degrees of part, a graph or slice with canonical rows,
+    indexed by label up to its largest endpoint (_peel)."""
+    return _peel(part.edges, 0)[0]
+
+
+def _jump(p: np.ndarray) -> None:
+    """Point each slot of the forest p, where p[r] == r at a root, at its
+    root, in place: pointer doubling over the slots not there yet."""
+    todo = np.flatnonzero(p[p] != p)
+    while todo.size:
+        up = p[p[todo]]
+        p[todo] = up
+        todo = todo[p[up] != up]
+
+
+def _roots(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """root[v] for each label v in 0..n: one vertex of v's component, the
+    same for the whole component, and the peel's degrees (_peel).
+
+    A component with a 2-core is named by its smallest 2-core vertex, a
+    tree by the vertex its peel ends at.  edges must be canonical; the
+    module docstring gives the route and why it is exact.
+    """
+    deg, nsum = _peel(edges, n + 1)
+    root = np.where(deg == 1, nsum, np.arange(n + 1))
+    du, dv = deg[edges[:, 0]], deg[edges[:, 1]]
+    pairs = np.compress((du == 0) & (dv == 0), edges, axis=0)
+    root[pairs[:, 1]] = pairs[:, 0]
+    core = np.flatnonzero(deg > 1)
+    label = np.arange(core.size)
+    a, b = np.searchsorted(
+        core, np.compress((du > 1) & (dv > 1), edges, axis=0)).T
+    while a.size:
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        _jump(label)
+        a, b = label[a], label[b]
+        # a row whose ends share a root stays inside one component
+        keep = a != b
+        a, b = a[keep], b[keep]
+    root[core] = core[label]
+    _jump(root)
+    return root, deg
 
 
 def _peel_to_core(part) -> GraphSlice:
@@ -508,19 +580,20 @@ def core_of(g: LabeledGraph) -> GraphSlice:
 
 def split(g: LabeledGraph) -> Decomposition:
     """Three-way decomposition (large complex, small complex, rest) + core
-    of a LabeledGraph or MultiGraph, from one component pass over g.
+    of a LabeledGraph or MultiGraph, from one peel of g (_roots).
 
-    The pass over g finds the complex part, and only that is peeled.  A
-    complex component stays connected as it is peeled, so g's labels
-    name its one core part, and the core needs no second pass.
+    The peel that labels the components also gives the core: a complex
+    component stays connected as it is peeled and leaves its core as its
+    2-core (see core_of), so the core is the 2-core vertices in complex
+    components, and their roots name the core components.
     """
-    labels, in_complex = _complex_components(g.n, g.edges)
-    core = _peel_to_core(GraphSlice(g, in_complex))
-    # g's labels name the core components, and argmax takes the first
-    # core vertex in a largest one: ties go to the smallest core label
-    comp = labels[core.vertices - 1]
+    root, in_complex, deg = _complex_components(g.n, g.edges)
+    core = GraphSlice(g, in_complex & (deg > 1))
+    # argmax takes the first core vertex in a largest core component:
+    # ties go to the smallest core label
+    comp = root[core.vertices - 1]
     pick = comp[np.argmax(np.bincount(comp)[comp])] if comp.size else -1
-    in_large = labels == pick
+    in_large = root == pick
     return Decomposition(GraphSlice(g, in_large),
                          GraphSlice(g, in_complex & ~in_large),
                          GraphSlice(g, ~in_complex), core,

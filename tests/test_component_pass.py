@@ -1,13 +1,13 @@
-"""The one component pass of graphs._components against two references.
+"""graphs._components, read off the peel's roots, against two references.
 
-reference_labels is the former pass: a COO matrix, scipy's labels, then
-a renumbering by smallest member with np.minimum.at, a mask and a
-cumulative sum.  oracle_stats is a union-find over the edge rows.  The
-pass hands scipy the canonical rows as a CSR matrix and keeps its labels
-as they come; both references must agree with it, on large G(n, m)
-draws, on grown K4 cores and on multigraphs with loops and repeated
-rows, and has_complex_component must agree with the oracle's
-per-component counts.
+reference_labels is scipy's undirected pass over a COO matrix, its
+labels renumbered by smallest member with np.minimum.at, a mask and a
+cumulative sum; scipy is a test oracle, not a dependency of the package.
+oracle_stats is a union-find over the edge rows.  Both references must
+agree with _components, which reads its labels off the roots of one
+peel (graphs._roots), on large G(n, m) draws, on grown K4 cores and on
+multigraphs with loops and repeated rows, and has_complex_component must
+agree with the oracle's per-component counts.
 """
 import numpy as np
 import pytest

@@ -91,13 +91,13 @@ def test_pipeline_core_blocks_are_splits_parts(core):
 
 def test_split_runs_one_component_pass(monkeypatch):
     calls = []
-    real = graphs._components
+    real = graphs._roots
 
     def counted(n, edges):
         calls.append(n)
         return real(n, edges)
 
-    monkeypatch.setattr(graphs, "_components", counted)
+    monkeypatch.setattr(graphs, "_roots", counted)
     # two complex components, whose cores are two K4s, and a tree
     parts = split(LabeledGraph(11, k4(1, 2, 3, 4) + k4(5, 6, 7, 8)
                                + [(4, 9), (10, 11)]))

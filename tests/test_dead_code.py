@@ -13,9 +13,8 @@ Seven checks stand in for a linter:
   than one function;
 - the vertex limit is kept in one module: no module but graphs.py reads
   MAX_VERTICES, so every other count is refused through graphs._order;
-- scipy is kept in one function: no module but graphs.py imports it, and
-  no function but graphs._components reads a name imported from it, so
-  where and when scipy is imported is a change to that one function;
+- the package runs on numpy alone: no module imports scipy, which is a
+  test oracle (tests/test_runtime_imports.py checks a fresh import);
 - threads are kept in one module: no module but experiments.py imports
   concurrent.futures or threading, so the trial pool is the one place
   the package runs threads, and no other module shares state across them.
@@ -186,33 +185,6 @@ def test_only_graphs_reads_the_vertex_limit():
                          + ", ".join(readers))
 
 
-def scipy_names(tree: ast.Module) -> set[str]:
-    """Names the module binds by importing scipy or from it."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names.update(alias.asname or alias.name.split(".")[0]
-                         for alias in node.names
-                         if alias.name.split(".")[0] == "scipy")
-        elif (isinstance(node, ast.ImportFrom)
-              and (node.module or "").split(".")[0] == "scipy"):
-            names.update(alias.asname or alias.name for alias in node.names)
-    return names
-
-
-def test_only_components_calls_scipy():
-    users = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = parse(path)
-        names = scipy_names(tree)
-        if names:
-            users[path.name] = {func for node, func in by_function(tree)
-                                if isinstance(node, ast.Name)
-                                and node.id in names}
-    assert users == {"graphs.py": {"_components"}}, (
-        "scipy imported or read outside graphs._components: " + repr(users))
-
-
 THREAD_MODULES = {"concurrent.futures", "threading"}
 
 
@@ -235,3 +207,10 @@ def test_only_experiments_uses_threads():
              and imported_modules(parse(path)) & THREAD_MODULES]
     assert not users, ("concurrent.futures or threading imported outside "
                        "experiments.py: " + ", ".join(users))
+
+
+def test_no_module_imports_scipy():
+    users = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if any(name.split(".")[0] == "scipy"
+                    for name in imported_modules(parse(path)))]
+    assert not users, "scipy imported in " + ", ".join(users)

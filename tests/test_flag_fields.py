@@ -64,3 +64,9 @@ def test_nu_reports_whole_counts_as_ints(capsysbinary):
     report = run_experiment(ExperimentConfig(kind="nu", n=100.0, k=100.0))
     texts.append(json.dumps(json.loads(emit_report(report))["params"]))
     assert texts == ['{"n": 100, "k": 100, "eps": 0.25}'] * 3
+
+
+def test_nu_keeps_a_float_past_two_to_the_53(capsysbinary):
+    assert main(["nu", "--n", "1e306", "--k", "10"]) == 0
+    params = json.loads(capsysbinary.readouterr().out)["params"]
+    assert json.dumps(params) == '{"n": 1e+306, "k": 10, "eps": 0.25}'
