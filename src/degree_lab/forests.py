@@ -49,19 +49,22 @@ largest-leaf schedule, which is unique, so every chain set gives it:
   step f, the larger stops went at earlier free steps, and a chain
   vertex w > s that is a leaf at f has l(w) + 1 < f, f being free.
 
-decode_sequence finds a chain set as a fixpoint.  Starting from C = {},
-each round recomputes C by the rule, with one cumsum over the candidates
-in label order (above) and one in time order (before), until C no longer
-changes.  The first round is closed-form, n - x <= l(x).  On every code
-tried (all codes with n <= 8, 40 000 random, sorted and reversed codes
-with n < 25, and uniform, sorted and strided codes at n = 10**5) each
-round only added vertices.  A set that grows at every round settles
-within #candidates + 1 rounds after the first; past that bound
-decode_sequence raises rather than return a forest from a set that has
+The decode (_decode) finds a chain set as a fixpoint.  Starting from
+C = {}, each round recomputes C by the rule, with one cumsum over the
+candidates in label order (above) and one in time order (before), until
+C no longer changes.  The first round is closed-form, n - x <= l(x).  On
+every code tried (all codes with n <= 8, 40 000 random, sorted and
+reversed codes with n < 25, and uniform, sorted and strided codes at
+n = 10**5) each round only added vertices.  A set that grows at every
+round settles within #candidates + 1 rounds after the first; past that
+bound the decode raises rather than return a forest from a set that has
 not settled.  A uniform code at n = 10**5 takes four rounds and a
 confirming one (36 727, 11 751, 1 439 and 37 vertices added); sorted
 codes take up to about log2(n) rounds, 18 for the ascending code at
-10**5.
+10**5.  The roots are never candidates and never stops, so the decode
+keys its arrays by the m non-roots, x - t for x in t+1..n, and takes
+O(m) time and memory whatever n is: a forest of one edge at n = 10**7
+needs arrays of at most two slots, not of 10**7.
 
 Degrees can be read off a sequence without decoding: a vertex appears
 in the sequence once per removed neighbour, and every non-root is
@@ -72,10 +75,17 @@ removed once itself, so
 Uniform sequences are trivial to draw, which makes uniform forests and
 their degree sequences cheap to sample.
 
+A code reaches the decode and the degree count (_degrees) through one
+of two entry points, each giving n, t and the code.  _validate_sequence
+checks a code from outside (decode_sequence, degrees_from_sequence).
+_draw_sequence draws one (sample_forest, sample_forest_degrees): its
+first n - t - 1 entries come from 1..n and its last from 1..t, so every
+draw is a valid code and is not checked again.
+
 RootedForest keeps every check for outside input (lists, arrays,
 edge-list files), down to a component pass.  Only the forests that
-decode_sequence builds skip that pass, as checked rows: every valid
-sequence decodes to a rooted forest.
+_decode builds skip that pass, as checked rows: every valid code
+decodes to a rooted forest.
 """
 from __future__ import annotations
 
@@ -113,7 +123,8 @@ class RootedForest(_EdgeListGraph):
         self.t = t
 
     def as_graph(self) -> LabeledGraph:
-        return LabeledGraph(self.n, self.edges)
+        # a forest's rows are canonical and simple already
+        return LabeledGraph(self.n, _Checked(self.edges))
 
     def __repr__(self) -> str:
         return f"RootedForest(n={self.n}, t={self.t})"
@@ -136,7 +147,10 @@ def forest_count(n: int, t: int) -> int:
     return t * n ** (n - t - 1)
 
 
-def _validate_sequence(n: int, t: int, seq) -> np.ndarray:
+def _validate_sequence(n: int, t: int, seq) -> tuple[int, int, np.ndarray]:
+    """n, t and a code from outside, checked to describe a rooted forest;
+    the code as a 1-D int64 array."""
+    n, t = _forest_shape(n, t)
     seq = np.asarray(seq)
     if seq.ndim != 1 or (seq.size and seq.dtype.kind not in "iu"):
         raise ValueError("sequence must be a 1-D sequence of integers")
@@ -147,7 +161,18 @@ def _validate_sequence(n: int, t: int, seq) -> np.ndarray:
         raise ValueError("sequence entry outside 1..n")
     if seq.size and not 1 <= seq[-1] <= t:
         raise ValueError("last sequence entry outside 1..t")
-    return seq
+    return n, t, seq
+
+
+def _draw_sequence(n: int, t: int, rng) -> tuple[int, int, np.ndarray]:
+    """n, t, checked, and a uniform code drawn from the generator that
+    rng seeds; every draw is a valid code, so it is not checked again."""
+    n, t = _forest_shape(n, t)
+    rng = np.random.default_rng(rng)
+    if n == t:  # the one forest of roots alone; nothing to draw
+        return n, t, np.empty(0, dtype=np.int64)
+    body = rng.integers(1, n + 1, size=n - t - 1)
+    return n, t, np.append(body, rng.integers(1, t + 1))
 
 
 def encode_forest(forest: RootedForest) -> tuple[int, ...]:
@@ -178,53 +203,53 @@ def encode_forest(forest: RootedForest) -> tuple[int, ...]:
 
 def decode_sequence(n: int, t: int, seq) -> RootedForest:
     """Inverse of encode_forest: the rooted forest on {1..n} with roots
-    1..t whose largest-leaf removal records seq.  The removal order is a
-    fixpoint of whole-array rounds (module docstring), with no per-step
-    loop.  Every valid sequence decodes to a rooted forest, so its edges
-    reach RootedForest as checked rows."""
-    n, t = _forest_shape(n, t)
-    seq = _validate_sequence(n, t, seq)
-    leaves = _removal_order(n, t, seq)
+    1..t whose largest-leaf removal records seq."""
+    return _decode(*_validate_sequence(n, t, seq))
+
+
+def _decode(n: int, t: int, seq: np.ndarray) -> RootedForest:
+    """The forest of a valid code.  The removal order is a fixpoint of
+    whole-array rounds (module docstring), with no per-step loop: the
+    chain vertices go at their steps, the stops in the free steps.  Every
+    valid code decodes to a rooted forest, so its edges reach
+    RootedForest as checked rows."""
+    m = seq.size
+    number, step = _chains(t, seq)
+    leaves = np.empty(m, dtype=np.int64)
+    leaves[step] = number + t
+    free = np.ones(m, dtype=bool)
+    free[step] = False
+    stop = np.ones(m, dtype=bool)
+    stop[number - 1] = False
+    leaves[free] = np.flatnonzero(stop)[::-1] + (t + 1)
+    del number, step, free, stop  # freed before the rows are keyed
     return RootedForest(n, t, _Checked(_key_rows(n, seq, leaves)))
 
 
-def _removal_order(n: int, t: int, seq: np.ndarray) -> np.ndarray:
-    """The leaf removed at each step of decoding a valid seq: the chain
-    vertices at their steps, the stops in the free steps."""
+def _chains(t: int, seq: np.ndarray):
+    """The chain set that the rounds from C = {} settle on (module
+    docstring), as the numbers x - t of its vertices x, and their removal
+    steps.  A helper of its own, so that its temporaries are freed
+    before the leaves are placed."""
     m = seq.size
-    vertex, step = _chains(n, t, seq)
-    leaves = np.empty(m, dtype=np.int64)
-    leaves[step] = vertex
-    free = np.ones(m, dtype=bool)
-    free[step] = False
-    stop = np.ones(n + 1, dtype=bool)
-    stop[:t + 1] = False
-    stop[vertex] = False
-    leaves[free] = np.flatnonzero(stop)[::-1]
-    return leaves
-
-
-def _chains(n: int, t: int, seq: np.ndarray):
-    """The vertices of the chain set that the rounds from C = {} settle
-    on (module docstring), and their removal steps.  A helper of its
-    own, so that its temporaries are freed before the leaves are placed."""
-    m = seq.size
-    last = np.full(n + 1, -1, dtype=np.int64)
-    np.maximum.at(last, seq[:-1], np.arange(m - 1))  # seq[-1] is a root
+    # last[x - t] is l(x) for a non-root x; slot 0 takes every root
+    # entry, and seq[-1] is a root
+    last = np.full(m + 1, -1, dtype=np.int64)
+    np.maximum.at(last, np.maximum(seq[:-1] - t, 0), np.arange(m - 1))
     # the candidates, non-roots that occur, in label order, and their
     # places in time order (by last position)
-    label = np.flatnonzero(last[t + 1:] >= 0) + (t + 1)
-    ell = last[label]
+    number = np.flatnonzero(last[1:] >= 0) + 1
+    ell = last[number]
     occurs = np.zeros(m, dtype=bool)
     occurs[ell] = True
     rank = np.cumsum(occurs)[ell] - 1
     by_time = np.empty_like(rank)
     by_time[rank] = np.arange(rank.size)
-    # above(x) = (n - x) - #{y in C: y > x}, so the rule reads
-    # before(x) - #{y in C: y > x} <= l(x) - (n - x)
-    bound = ell - (n - label)
+    # above(x) = (n - x) - #{y in C: y > x}, and n - x = m - (x - t), so
+    # the rule reads before(x) - #{y in C: y > x} <= l(x) - (m - number)
+    bound = ell - (m - number)
     chain = bound >= 0
-    for _ in range(label.size + 1):
+    for _ in range(number.size + 1):
         # before(x) - #{y in C: y > x}, from one cumsum in time order
         # and one in label order
         gap = np.cumsum(chain[by_time])[rank] - chain
@@ -232,33 +257,26 @@ def _chains(n: int, t: int, seq: np.ndarray):
         gap -= np.count_nonzero(chain)
         settled = gap <= bound
         if np.array_equal(settled, chain):
-            return label[chain], ell[chain] + 1
+            return number[chain], ell[chain] + 1
         chain = settled
     raise RuntimeError("decoding rounds did not settle")
 
 
-def degrees_from_sequence(n: int, t: int, seq) -> np.ndarray:
-    """Forest degrees read directly off a sequence, no decoding."""
-    n, t = _forest_shape(n, t)
-    seq = _validate_sequence(n, t, seq)
+def _degrees(n: int, t: int, seq: np.ndarray) -> np.ndarray:
+    """The forest degrees of a valid code (module docstring)."""
     occ = np.bincount(seq, minlength=n + 1)[1:]
     occ[t:] += 1
     return occ
 
 
-def _draw_sequence(n: int, t: int, rng) -> np.ndarray:
-    if n == t:  # the one forest of roots alone; nothing to draw
-        return np.empty(0, dtype=np.int64)
-    body = rng.integers(1, n + 1, size=n - t - 1)
-    last = rng.integers(1, t + 1)
-    return np.append(body, last)
+def degrees_from_sequence(n: int, t: int, seq) -> np.ndarray:
+    """Forest degrees read directly off a sequence, no decoding."""
+    return _degrees(*_validate_sequence(n, t, seq))
 
 
 def sample_forest(n: int, t: int, rng=None) -> RootedForest:
     """Uniform rooted forest on {1..n} with roots 1..t."""
-    n, t = _forest_shape(n, t)
-    rng = np.random.default_rng(rng)
-    return decode_sequence(n, t, _draw_sequence(n, t, rng))
+    return _decode(*_draw_sequence(n, t, rng))
 
 
 def sample_forest_degrees(n: int, t: int, rng=None) -> np.ndarray:
@@ -267,6 +285,4 @@ def sample_forest_degrees(n: int, t: int, rng=None) -> np.ndarray:
     Consumes the generator exactly as sample_forest does, so with equal
     seeds this returns sample_forest(n, t, seed).degree_sequence().
     """
-    n, t = _forest_shape(n, t)
-    rng = np.random.default_rng(rng)
-    return degrees_from_sequence(n, t, _draw_sequence(n, t, rng))
+    return _degrees(*_draw_sequence(n, t, rng))

@@ -374,12 +374,13 @@ def classify_component(vertex_count: int, edge_count: int) -> str:
 
 def _complex_components(n: int, edges: np.ndarray):
     """The root of each vertex 1..n (_roots), whether it lies in a complex
-    component, one with more rows than vertices, and its peel degree."""
+    component, one where some vertex keeps a peel degree above 2 (the
+    rule of has_complex_component), and its peel degree."""
     root, deg = _roots(n, edges)
-    order = np.bincount(root)
-    size = np.bincount(root[edges[:, 0]], minlength=order.size)
+    hub = np.zeros(n + 1, dtype=bool)
+    hub[root[deg > 2]] = True
     root = root[1:]
-    return root, (size > order)[root], deg[1:]
+    return root, hub[root], deg[1:]
 
 
 def has_complex_component(g: LabeledGraph) -> bool:

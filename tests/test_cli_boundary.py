@@ -28,6 +28,51 @@ def huge_count_cases():
                                        id=f"{kind}{flag.name}={label}")
 
 
+# values swept through every int and float flag of every kind
+BOUNDARY = ("0", "-1", "0.5", "nan", "inf", "-inf", "x", "", "1e400")
+
+
+def accepted(flag, value):
+    """Whether flag takes value: any int as --seed, any finite value >= 0
+    as --eps, and 0 where the flag's low is 0."""
+    if flag.name == "--eps":
+        return value in ("0", "0.5")
+    if flag.low is None:
+        return value in ("0", "-1")
+    return value == "0" and flag.low == 0
+
+
+def boundary_cases():
+    """Every int and float flag of every kind at each BOUNDARY value it
+    refuses."""
+    for kind, spec in KIND_SPECS.items():
+        for flag in spec.flags:
+            if flag.type in (int, float):
+                for value in BOUNDARY:
+                    if not accepted(flag, value):
+                        yield pytest.param(kind, flag, value,
+                                           id=f"{kind}{flag.name}={value!r}")
+
+
+def run_with(kind, flag, value, tmp_path, capsys):
+    """main's exit code and output for kind with its required flags at
+    small valid values and flag at value; argparse's own refusals raise
+    SystemExit, whose code is taken."""
+    core = tmp_path / "k4.txt"
+    write_edge_list(LabeledGraph(4, K4), core)
+    values = {**SMALL, **SMALL_BY_KIND.get(kind, {}), "--core": str(core)}
+    argv = [kind]
+    for f in KIND_SPECS[kind].flags:
+        if f.required and f.name != flag.name:
+            argv += [f.name, values[f.name]]
+    argv += [flag.name, str(value)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv, name", [
     (["nu", "--n", "inf"], "n"),
     (["nu", "--n", "100", "--k", "nan"], "k"),
@@ -62,19 +107,21 @@ def test_a_huge_count_is_a_usage_error_naming_it(kind, flag, value, tmp_path,
                                                  capsys):
     # refused in the window or at the first trial's size readers, before
     # an array of that size is made; nothing runs in a child process
-    core = tmp_path / "k4.txt"
-    write_edge_list(LabeledGraph(4, K4), core)
-    values = {**SMALL, **SMALL_BY_KIND.get(kind, {}), "--core": str(core),
-              flag.name: str(value)}
-    argv = [kind]
-    for f in KIND_SPECS[kind].flags:
-        if f.required:
-            argv += [f.name, values[f.name]]
-    code = main(argv)
-    captured = capsys.readouterr()
+    code, captured = run_with(kind, flag, value, tmp_path, capsys)
     assert code == 2
     assert captured.out == ""
     assert re.search(rf"error: .*\b{flag.field}\b", captured.err)
+
+
+@pytest.mark.parametrize("kind, flag, value", list(boundary_cases()))
+def test_a_boundary_value_is_a_usage_error_naming_it(kind, flag, value,
+                                                     tmp_path, capsys):
+    # argparse names the flag, the experiment's checks its field or flag
+    code, captured = run_with(kind, flag, value, tmp_path, capsys)
+    assert code == 2
+    assert captured.out == ""
+    named = rf"\b({flag.field}|{flag.name[2:]})\b"
+    assert re.search(rf"error: .*{named}", captured.err)
 
 
 def test_pipeline_without_edges_is_a_usage_error_naming_m(tmp_path, capsys):
